@@ -10,11 +10,8 @@ sampled time curves and a time-shift attack simulator.
 """
 
 from .adversary import (
-    BASIS,
-    BasisConstants,
     EveState,
     RateStatistics,
-    SolverConfig,
     evaluate_statistics,
     maximize_phase_error,
     mediant_check,
@@ -67,9 +64,7 @@ from .timeshift import AttackOutcome, TimeShiftScenario, simulate_time_shift
 __version__ = "0.1.0"
 
 __all__ = [
-    "BASIS",
     "AttackOutcome",
-    "BasisConstants",
     "ContinuousResponse",
     "DetectorPair",
     "DetectorSpecFile",
@@ -83,7 +78,6 @@ __all__ = [
     "NoiselessRate",
     "RateMethod",
     "RateStatistics",
-    "SolverConfig",
     "TimeShiftScenario",
     "VirtualFilterC",
     "ZeroRateReason",

@@ -15,14 +15,27 @@ constant 4x4 projectors and the detector/filter matrices:
 with G = C^dag C the virtual-filter Gram matrix, ZB0 = Z00 + Z10,
 ZB1 = Z11 + Z01, XB0 = Xpp + Xmp, XB1 = Xmm + Xpm.
 
-Worst-case rate certificates come from optimizing over rho:
+Worst-case rate certificates come from optimizing over rho. Each constrained
+bound is a linear-fractional program in rho, so the Charnes-Cooper step (fix
+the denominator's trace to 1) turns it into a semidefinite program with two
+linear equalities A1 = EBnum - e_b Zden and A2 = EPPnum - e_p' Xden, whose
+Lagrange dual is an extreme eigenvalue in at most two multipliers y:
 
-  * constrained: minimize p_succ (resp. maximize e_p) subject to e_b and e_p'
-    matching their observed values, solved by multistart local search with a
-    quadratic penalty schedule on the equality constraints;
-  * unconstrained: dropping the constraints yields analytic bounds
-    min_i min(D_i, 1/D_i) and max_i max(D_i, 1/D_i) in terms of the mismatch
-    ratios; the numeric optimizer over rho cross-validates them.
+  * minimum p_succ:  max_y lambda_min(W (CC - y1 A1 - y2 A2) W),  W = Zden^-1/2;
+  * maximum e_p:     min_y lambda_max(V (EPnum + y1 A1 + y2 A2) V), V = CC^-1/2.
+
+By weak duality the eigenvalue at *any* multipliers bounds every feasible
+rho, so the value returned is that eigenvalue at the multipliers the search
+ends on: `p_succ_opt` is a certified lower bound and `e_p_opt` a certified
+upper bound, however accurate the search. A zero target is handled exactly,
+with no multiplier: e_b = 0 confines rho to span{e1, e4} x C^d and e_p' = 0
+to span{e1, e2} x C^d, so at e_b = e_p' = 0 the bound is the closed-form
+noiseless p_succ = lambda_min(2G, E0 + E1) and e_p = 0. The witness state is
+read off the extreme eigenspace at the final multipliers.
+
+Dropping the constraints leaves one generalized eigenvalue per bound, which
+reproduces the analytic min_i min(D_i, 1/D_i) and max_i max(D_i, 1/D_i) of
+the mismatch ratios.
 """
 
 from __future__ import annotations
@@ -32,7 +45,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
+import scipy.linalg
+from scipy.optimize import brentq as _scipy_root
+from scipy.optimize import minimize_scalar as _scipy_minimize
 
 from .detectors import DetectorPair, MismatchSpectrum
 from .errors import (
@@ -40,16 +55,17 @@ from .errors import (
     DomainError,
     Infeasible,
     NonPositiveInput,
+    NumericalFailure,
     SingularDetector,
-    SolverBudgetExceeded,
     ZeroDenominator,
 )
-from .filtering import VirtualFilterC
+from .filtering import VALIDITY_TOL, VirtualFilterC
 
 DENOMINATOR_FLOOR = 1e-14
-# Residual above the acceptance tolerance but below this still means the
-# solver (not the constraint set) is the bottleneck.
-INFEASIBILITY_RESIDUAL = 1e-4
+# Dual multipliers are searched in [-MULTIPLIER_CAP, MULTIPLIER_CAP]. A capped
+# multiplier still gives a valid bound, possibly a loose one; a dual that keeps
+# improving up to the cap is how infeasible targets show.
+MULTIPLIER_CAP = 1e6
 
 
 def _projector_half(v) -> np.ndarray:
@@ -133,10 +149,6 @@ class RateStatistics:
     p_succ: float
 
 
-# Indices into the stacked operator tensor.
-_K_ZDEN, _K_EBNUM, _K_XDEN, _K_EPPNUM, _K_CC, _K_EPNUM = range(6)
-
-
 @dataclass(frozen=True)
 class _OperatorSet:
     stacked: np.ndarray  # (6, 4d, 4d)
@@ -182,7 +194,10 @@ def _stats_from_forms(forms: np.ndarray, norm2: float) -> RateStatistics:
         raise ZeroDenominator("attack state yields no conclusive events in some basis")
 
     def _ratio(num, den):
-        return float(min(max(num / den, 0.0), 1.0))
+        value = num / den
+        if not -VALIDITY_TOL <= value <= 1.0 + VALIDITY_TOL:
+            raise NumericalFailure(f"rate {value!r} outside [0, 1] beyond rounding")
+        return float(min(max(value, 0.0), 1.0))
 
     return RateStatistics(
         e_b=_ratio(ebn, zden),
@@ -217,108 +232,6 @@ def mismatch_ratio_bounds(spectrum: MismatchSpectrum) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Multistart penalty-solver knobs, all surfaced as CLI flags."""
-
-    starts: int = 64
-    rank: int = 1
-    seed: int = 0
-    max_iters: int = 300
-    penalty_init: float = 10.0
-    constraint_tol: float = 1e-5
-    penalty_rounds: int = 10
-    symmetric_attack: bool = False
-
-
-def _unpack(theta: np.ndarray, rank: int, dim: int) -> np.ndarray:
-    half = theta.size // 2
-    return (theta[:half] + 1j * theta[half:]).reshape(rank, dim)
-
-
-def _grad_real(coeffs: np.ndarray, mv: np.ndarray) -> np.ndarray:
-    g = 2.0 * np.tensordot(coeffs, mv, axes=(0, 0))
-    return np.concatenate([g.real.ravel(), g.imag.ravel()])
-
-
-def _make_objective(ops: _OperatorSet, rank: int, kind: str, targets=None, mu: float = 0.0):
-    """Return f(theta) -> (value, gradient) for one optimization problem.
-
-    kind: "min_psucc" | "max_ep" (constrained, quadratic penalty weight mu)
-          "min_psucc_free" | "max_ratio" (unconstrained)
-    """
-    stacked = ops.stacked
-    dim = ops.dim
-
-    def objective(theta):
-        v = _unpack(theta, rank, dim)
-        mv = np.einsum("kij,rj->kri", stacked, v)
-        forms = np.einsum("kri,ri->k", mv, v.conj()).real
-        zden, ebn, xden, eppn, cc, epn = forms
-        coeffs = np.zeros(6)
-
-        if kind == "max_ratio":
-            # e_p / e_p' = (epn * xden) / (cc * eppn); supremum can sit on the
-            # boundary where both error numerators vanish, so floor them.
-            tiny = 1e-300
-            epn_c = max(epn, tiny)
-            eppn_c = max(eppn, tiny)
-            ratio = (epn_c * xden) / (cc * eppn_c)
-            coeffs[_K_EPNUM] = -ratio / epn_c
-            coeffs[_K_XDEN] = -ratio / xden
-            coeffs[_K_CC] = ratio / cc
-            coeffs[_K_EPPNUM] = ratio / eppn_c
-            return -ratio, _grad_real(coeffs, mv)
-
-        p_succ = cc / zden
-        if kind == "min_psucc_free":
-            coeffs[_K_CC] = 1.0 / zden
-            coeffs[_K_ZDEN] = -p_succ / zden
-            return p_succ, _grad_real(coeffs, mv)
-
-        t_eb, t_epp = targets
-        eb = ebn / zden
-        epp = eppn / xden
-        r_eb = eb - t_eb
-        r_epp = epp - t_epp
-        penalty = mu * (r_eb * r_eb + r_epp * r_epp)
-        coeffs[_K_EBNUM] = 2.0 * mu * r_eb / zden
-        coeffs[_K_XDEN] = -2.0 * mu * r_epp * epp / xden
-        coeffs[_K_EPPNUM] = 2.0 * mu * r_epp / xden
-
-        if kind == "min_psucc":
-            coeffs[_K_CC] += 1.0 / zden
-            coeffs[_K_ZDEN] = -(p_succ + 2.0 * mu * r_eb * eb) / zden
-            return p_succ + penalty, _grad_real(coeffs, mv)
-        if kind == "max_ep":
-            e_p = epn / cc
-            coeffs[_K_EPNUM] = -1.0 / cc
-            coeffs[_K_CC] += e_p / cc
-            coeffs[_K_ZDEN] = -2.0 * mu * r_eb * eb / zden
-            return -e_p + penalty, _grad_real(coeffs, mv)
-        raise ValueError(f"unknown objective kind {kind!r}")
-
-    return objective
-
-
-def _local_minimize(objective, theta0: np.ndarray, max_iters: int) -> np.ndarray:
-    res = _scipy_minimize(
-        objective,
-        theta0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iters, "ftol": 1e-14, "gtol": 1e-10},
-    )
-    theta = res.x
-    norm = np.linalg.norm(theta)
-    return theta / norm if norm > 0 else theta
-
-
-def _constraint_residual(forms: np.ndarray, targets) -> float:
-    zden, ebn, xden, eppn, _, _ = forms
-    return max(abs(ebn / zden - targets[0]), abs(eppn / xden - targets[1]))
-
-
 def _symmetrized_vectors(vectors: np.ndarray, d: int) -> np.ndarray:
     reps = [np.kron(g, np.eye(d)) for g in _SYMMETRY_GROUP]
     scale = 1.0 / math.sqrt(len(reps))
@@ -337,67 +250,166 @@ def _validate_observed(observed_eb: float, observed_epp: float) -> None:
             raise DomainError(f"observed {name} must lie in [0, 0.5], got {value}")
 
 
+def _face(observed_eb: float, observed_epp: float, d: int) -> np.ndarray:
+    """Coordinates of the 4d space a state may occupy at the observed rates.
+
+    EBnum and EPPnum are positive, so a zero target forces rho into their
+    kernel: span{e1, e4} x C^d for e_b = 0, span{e1, e2} x C^d for e_p' = 0.
+    """
+    blocks = {0, 1, 2, 3}
+    if observed_eb == 0.0:
+        blocks -= {1, 2}
+    if observed_epp == 0.0:
+        blocks -= {2, 3}
+    return np.concatenate([np.arange(b * d, (b + 1) * d) for b in sorted(blocks)])
+
+
+def _argmin_by_value(fun) -> float:
+    """Minimizer of a convex function on [-MULTIPLIER_CAP, MULTIPLIER_CAP].
+
+    Doubling steps from 0 downhill bracket the minimum; SciPy's bounded Brent
+    search then refines it.
+    """
+    f0, f_up, f_down = fun(0.0), fun(1.0), fun(-1.0)
+    if min(f_up, f_down) >= f0:
+        lo, hi = -1.0, 1.0
+    else:
+        sign = 1.0 if f_up < f_down else -1.0
+        prev, cur, f_cur = 0.0, 1.0, min(f_up, f_down)
+        while cur < MULTIPLIER_CAP:
+            nxt = min(2.0 * cur, MULTIPLIER_CAP)
+            f_nxt = fun(sign * nxt)
+            if f_nxt >= f_cur:
+                break
+            prev, cur, f_cur = cur, nxt, f_nxt
+        else:
+            nxt = cur
+        lo, hi = sorted((sign * prev, sign * nxt))
+    return float(_scipy_minimize(fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}).x)
+
+
+def _argmin_by_slope(base: np.ndarray, direction: np.ndarray) -> float:
+    """Minimizer of the convex t -> lambda_max(base + t direction).
+
+    Finds the sign change of u^dag direction u, u a top eigenvector: a
+    subgradient even where eigenvalues cross. Slopes pin the minimizer to
+    rounding error where values pin it only to its square root, which is
+    what keeps the outer search's function smooth enough to converge.
+    """
+
+    def slope(t):
+        u = np.linalg.eigh(base + t * direction)[1][:, -1]
+        return np.vdot(u, direction @ u).real
+
+    s0 = slope(0.0)
+    if s0 == 0.0:
+        return 0.0
+    sign = -math.copysign(1.0, s0)
+    near, far = 0.0, 1.0  # distances downhill; the slope changes sign between them
+    while (s_far := slope(sign * far)) * s0 > 0.0:
+        if far >= MULTIPLIER_CAP:
+            return sign * MULTIPLIER_CAP
+        near, far = far, min(2.0 * far, MULTIPLIER_CAP)
+    if s_far == 0.0:
+        return sign * far
+    # Any multiplier gives a valid bound, so an unconverged root is still used.
+    return sign * _scipy_root(lambda t: slope(sign * t), near, far, xtol=1e-14, disp=False)
+
+
+def _minimize_top_eigenvalue(base: np.ndarray, directions: list) -> list:
+    """Multipliers y (at most two) minimizing lambda_max(base + y . directions).
+
+    The function is convex, and so is its partial minimum over the last
+    multiplier, so a search over y1 of the minimum over y2 reaches the joint
+    minimum.
+    """
+    if len(directions) < 2:
+        return [_argmin_by_slope(base, d) for d in directions]
+    first, second = directions
+
+    def partial(t):
+        m = base + t * first
+        return np.linalg.eigvalsh(m + _argmin_by_slope(m, second) * second)[-1]
+
+    t = _argmin_by_value(partial)
+    return [t, _argmin_by_slope(base + t * first, second)]
+
+
+def _top_witness(matrix: np.ndarray, constraints: list) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of `matrix`, and rows v_k with rho = sum_k |v_k><v_k| on
+    its top eigenspace.
+
+    Within the top two eigenvectors U, R = (I + r.sigma)/2 turns each
+    constraint Tr(R U^dag A U) = 0 into a linear equation in the Bloch vector
+    r. Take the minimum-norm solution (SVD cutoff: the two equations are often
+    numerically proportional), then move along the solution set towards the
+    top eigenvector as far as the Bloch ball allows. The state meets the
+    constraints when the top eigenvalue at the optimum is at most double; a
+    higher multiplicity (seen at e_b = 0.5) leaves them unmet, while the
+    eigenvalue stays a valid bound.
+    """
+    w, vecs = np.linalg.eigh(matrix)
+    top = vecs[:, ::-1][:, :2]
+    if top.shape[1] == 1:
+        return w[-1], top.T
+    forms = [top.conj().T @ a @ top for a in constraints]
+    rows = np.array([[2 * f[0, 1].real, -2 * f[0, 1].imag, (f[0, 0] - f[1, 1]).real] for f in forms])
+    rhs = np.array([-np.trace(f).real for f in forms])
+    u, s, vt = np.linalg.svd(rows.reshape(-1, 3))
+    rank = int(np.sum(s > 1e-8 * max(s.max(initial=0.0), 1.0)))
+    r = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+    slack = 1.0 - r @ r
+    toward_top = vt[rank:].T @ vt[rank:, 2]
+    if slack < 0.0:
+        r /= math.sqrt(r @ r)
+    elif toward_top @ toward_top > 0.0:
+        r += math.sqrt(slack) * toward_top / math.sqrt(toward_top @ toward_top)
+    bloch = 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]])
+    p, q = np.linalg.eigh(bloch)
+    keep = p > 0.0
+    return w[-1], (top @ (q[:, keep] * np.sqrt(p[keep]))).T
+
+
 def _solve_constrained(
     pair: DetectorPair,
     filter_c: VirtualFilterC,
     observed_eb: float,
     observed_epp: float,
-    config: SolverConfig,
+    symmetric: bool,
     kind: str,
 ) -> tuple[float, EveState]:
     _validate_observed(observed_eb, observed_epp)
     if not pair.full_rank:
         raise SingularDetector("bound optimization needs full-rank responses")
-    ops = _build_operators(pair, filter_c, symmetric=config.symmetric_attack)
-    targets = (observed_eb, observed_epp)
-    rng = np.random.default_rng(config.seed)
-    n_params = 2 * config.rank * ops.dim
+    ops = _build_operators(pair, filter_c, symmetric=symmetric)
+    idx = _face(observed_eb, observed_epp, pair.dim)
+    zden, ebn, xden, eppn, cc, epn = ops.stacked[:, idx[:, np.newaxis], idx]
+    constraints = []
+    if observed_eb > 0.0:
+        constraints.append(ebn - observed_eb * zden)
+    if observed_epp > 0.0:
+        constraints.append(eppn - observed_epp * xden)
 
-    candidates = []
-    best_residual = math.inf
-    for _ in range(config.starts):
-        theta = rng.standard_normal(n_params)
-        theta /= np.linalg.norm(theta)
-        mu = config.penalty_init
-        residual = math.inf
-        for _ in range(config.penalty_rounds):
-            objective = _make_objective(ops, config.rank, kind, targets=targets, mu=mu)
-            theta = _local_minimize(objective, theta, config.max_iters)
-            forms = _state_forms(_unpack(theta, config.rank, ops.dim), ops)
-            residual = _constraint_residual(forms, targets)
-            if residual < config.constraint_tol:
-                break
-            mu *= 10.0
-        best_residual = min(best_residual, residual)
-        if residual < config.constraint_tol:
-            value = forms[_K_CC] / forms[_K_ZDEN] if kind == "min_psucc" else forms[_K_EPNUM] / forms[_K_CC]
-            candidates.append((value, theta, mu))
+    # Both bounds become min_y lambda_max(base + y.A) after whitening by the
+    # Charnes-Cooper denominator (its inverse Cholesky factor serves as W or
+    # V: any W with W norm W^dag = I gives the same eigenvalues); p_succ is
+    # the negated value.
+    sign, norm, objective = (-1.0, zden, -cc) if kind == "min_psucc" else (1.0, cc, epn)
+    white = np.linalg.inv(np.linalg.cholesky(norm))
+    base, *directions = [white @ m @ white.conj().T for m in [objective] + constraints]
+    y = _minimize_top_eigenvalue(base, directions)
+    top, local = _top_witness(base + sum(yi * d for yi, d in zip(y, directions)), directions)
+    value = sign * top
 
-    if not candidates:
-        if best_residual < INFEASIBILITY_RESIDUAL:
-            raise SolverBudgetExceeded(
-                f"constraints reached residual {best_residual:.2e}, short of {config.constraint_tol:.0e}"
-            )
-        raise Infeasible(
-            f"no attack state matched the observed rates (best residual {best_residual:.2e})"
-        )
-
-    pick = min if kind == "min_psucc" else max
-    _, theta_best, mu_best = pick(candidates, key=lambda item: item[0])
-    # Pull the winner tighter onto the constraint manifold: the stop-at-first-
-    # feasible residual leaves a small slack that biases the objective.
-    theta, mu = theta_best, mu_best
-    for _ in range(3):
-        mu *= 10.0
-        objective = _make_objective(ops, config.rank, kind, targets=targets, mu=mu)
-        theta_new = _local_minimize(objective, theta, config.max_iters)
-        forms = _state_forms(_unpack(theta_new, config.rank, ops.dim), ops)
-        if _constraint_residual(forms, targets) <= config.constraint_tol:
-            theta = theta_new
-    witness = _witness_state(_unpack(theta, config.rank, ops.dim), pair, config.symmetric_attack)
-    stats = evaluate_statistics(witness, pair, filter_c)
-    value = stats.p_succ if kind == "min_psucc" else stats.e_p
-    return value, witness
+    # Every state has p_succ <= 1 (I4 x G <= Zden) and e_p >= 0, so a dual
+    # value beyond either certifies that no state meets the targets; within
+    # rounding, and on the other side, clipping into [0, 1] keeps it a bound.
+    infeasible = value > 1.0 + VALIDITY_TOL if kind == "min_psucc" else value < -VALIDITY_TOL
+    if infeasible:
+        raise Infeasible(f"dual value {value:.6g} certifies that no attack state meets the observed rates")
+    vectors = np.zeros((local.shape[0], ops.dim), dtype=complex)
+    vectors[:, idx] = local @ white.conj()
+    return float(min(max(value, 0.0), 1.0)), _witness_state(vectors, pair, symmetric)
 
 
 def minimize_filter_success(
@@ -405,14 +417,17 @@ def minimize_filter_success(
     filter_c: VirtualFilterC,
     observed_eb: float,
     observed_epp: float,
-    config: SolverConfig = SolverConfig(),
+    symmetric_attack: bool = False,
 ) -> tuple[float, EveState]:
     """Worst-case virtual-filtering success probability at the observed rates.
 
-    Returns the smallest p_succ found over attack states consistent with the
-    observed bit and phase error rates, plus the witness state attaining it.
+    Returns a certified lower bound on p_succ over attack states consistent
+    with the observed bit and phase error rates (the dual value), plus a
+    witness state from the dual's extreme eigenspace that attains it up to
+    the search's accuracy. `symmetric_attack` restricts Eve to attacks
+    symmetrized over the bit-relabelling group.
     """
-    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, config, "min_psucc")
+    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "min_psucc")
 
 
 def maximize_phase_error(
@@ -420,40 +435,30 @@ def maximize_phase_error(
     filter_c: VirtualFilterC,
     observed_eb: float,
     observed_epp: float,
-    config: SolverConfig = SolverConfig(),
+    symmetric_attack: bool = False,
 ) -> tuple[float, EveState]:
-    """Worst-case virtual phase error rate at the observed rates."""
-    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, config, "max_ep")
+    """Worst-case virtual phase error rate at the observed rates: a certified
+    upper bound on e_p, plus a witness state, as in `minimize_filter_success`."""
+    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "max_ep")
 
 
-def optimize_unconstrained_bounds(
-    pair: DetectorPair,
-    filter_c: VirtualFilterC,
-    config: SolverConfig = SolverConfig(),
-) -> tuple[float, float]:
-    """Numerically optimize the two bound objectives with no constraints.
+def optimize_unconstrained_bounds(pair: DetectorPair, filter_c: VirtualFilterC) -> tuple[float, float]:
+    """Exact optima of the two bound objectives with no constraints.
 
-    Returns (min p_succ, max e_p / e_p') over attack states; cross-validates
-    the analytic `mismatch_ratio_bounds` values.
+    Returns (min p_succ, sup e_p / e_p') over attack states: the first is the
+    generalized eigenvalue lambda_min(I4 x G, Zden); the second is
+    1 / min_i lambda_min(G, E_i), approached by states that put vanishing
+    weight on the x-error block, where e_p / e_p' factors into a ratio at most
+    1 (G <= E_i) times Xden / CC. Cross-validates `mismatch_ratio_bounds`.
     """
     if not pair.full_rank:
         raise SingularDetector("bound optimization needs full-rank responses")
-    ops = _build_operators(pair, filter_c, symmetric=config.symmetric_attack)
-    rng = np.random.default_rng(config.seed)
-    n_params = 2 * config.rank * ops.dim
-
-    best = {"min_psucc_free": math.inf, "max_ratio": math.inf}
-    for kind in best:
-        objective = _make_objective(ops, config.rank, kind)
-        for _ in range(config.starts):
-            theta = rng.standard_normal(n_params)
-            theta /= np.linalg.norm(theta)
-            theta = _local_minimize(objective, theta, config.max_iters)
-            value, _ = objective(theta)
-            best[kind] = min(best[kind], value)
-    if not all(math.isfinite(v) for v in best.values()):
-        raise SolverBudgetExceeded("unconstrained bound optimization did not converge")
-    return best["min_psucc_free"], -best["max_ratio"]
+    zden, _, _, _, cc, _ = _build_operators(pair, filter_c, symmetric=False).stacked
+    p_min = scipy.linalg.eigh(cc, zden, eigvals_only=True)[0]
+    floor = min(
+        scipy.linalg.eigh(filter_c.gram, e.matrix, eigvals_only=True)[0] for e in (pair.e0, pair.e1)
+    )
+    return float(p_min), float(1.0 / floor)
 
 
 def mediant_check(a1, a2, b1, b2) -> bool:

@@ -20,12 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adversary import (
-    SolverConfig,
-    maximize_phase_error,
-    minimize_filter_success,
-    mismatch_ratio_bounds,
-)
+from .adversary import maximize_phase_error, minimize_filter_success, mismatch_ratio_bounds
 from .characterize import diagonal_only_response, discretize_response, read_response_csv, sample_grid
 from .detectors import (
     DetectorPair,
@@ -55,6 +50,7 @@ SWEEP_COLUMNS = [
     "rate_4phase",
     "status",
 ]
+IGNORED_SWEEP_FLAGS = ("--starts", "--rank", "--seed", "--tol")
 
 
 def _sig(x: float, figures: int = 4) -> str:
@@ -72,15 +68,6 @@ def _emit_json(doc, out=None) -> None:
 def _load_pair_from_spec(path) -> tuple[DetectorPair, str, str]:
     spec = read_spec_file(path)
     return load_pair(spec.e0_raw, spec.e1_raw), spec.label0, spec.label1
-
-
-def _solver_config(args, seed=None) -> SolverConfig:
-    return SolverConfig(
-        starts=args.starts,
-        rank=args.rank,
-        seed=args.seed if seed is None else seed,
-        constraint_tol=args.tol,
-    )
 
 
 # --- analyze ------------------------------------------------------------------
@@ -147,7 +134,7 @@ def _sweep_rows(pair: DetectorPair, args):
     grid = np.linspace(0.0, args.e_max, args.steps)
 
     rows = []
-    for i, e in enumerate(grid):
+    for e in grid:
         e = float(e)
         ep_bound = min(1.0, ratio_up * e)
         row = {
@@ -162,10 +149,9 @@ def _sweep_rows(pair: DetectorPair, args):
             "status": "ok",
         }
         if not args.bounds_only:
-            config = _solver_config(args, seed=args.seed + 7919 * i)
             try:
-                p_opt, _ = minimize_filter_success(pair, filt, e, e, config)
-                ep_opt, _ = maximize_phase_error(pair, filt, e, e, config)
+                p_opt, _ = minimize_filter_success(pair, filt, e, e)
+                ep_opt, _ = maximize_phase_error(pair, filt, e, e)
                 row["p_succ_opt"] = p_opt
                 row["e_p_opt"] = ep_opt
                 row["rate_opt"] = noisy_rate(p_opt, ep_opt, e, RateMethod.NOISY_OPTIMIZED).rate
@@ -182,6 +168,9 @@ def cmd_sweep(args) -> int:
         raise QkdMismatchError(f"--e-max must be <= 0.25, got {args.e_max}")
     if args.steps < 2:
         raise QkdMismatchError(f"--steps must be >= 2, got {args.steps}")
+    ignored = [flag for flag in IGNORED_SWEEP_FLAGS if getattr(args, flag[2:]) is not None]
+    if ignored:
+        print(f"note: {', '.join(ignored)} ignored: optimized bounds are exact dual values", file=sys.stderr)
     pair, _, _ = _load_pair_from_spec(args.spec)
     if not pair.full_rank:
         pair = deflate_common_nullspace(pair)
@@ -318,13 +307,6 @@ def cmd_attack(args) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--starts", type=int, default=64, help="multistart count (default 64)")
-    p.add_argument("--rank", type=int, default=1, help="attack-state rank (default 1)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-5, help="constraint tolerance (default 1e-5)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkd-mismatch",
@@ -347,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bounds-only", action="store_true", dest="bounds_only")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.add_argument("--json", action="store_true")
-    _add_solver_flags(p)
+    # Settings of the former multistart solver, still passed by older scripts.
+    for flag in IGNORED_SWEEP_FLAGS:
+        p.add_argument(flag, type=float, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("characterize", help="build a detector spec from response CSVs")

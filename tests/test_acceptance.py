@@ -11,7 +11,6 @@ import pytest
 from qkd_mismatch import (
     EveState,
     Knowledge,
-    SolverConfig,
     ZeroRateReason,
     binary_entropy,
     compute_filter,
@@ -99,8 +98,7 @@ def test_criterion_03_unconstrained_bounds_cross_validation():
             lo, hi = mismatch_ratio_bounds(spectrum)
             assert lo * hi == pytest.approx(1.0, abs=1e-12)
             filt = compute_filter(spectrum, pair)
-            config = SolverConfig(starts=48, seed=500 + i)
-            p_min, ratio_max = optimize_unconstrained_bounds(pair, filt, config)
+            p_min, ratio_max = optimize_unconstrained_bounds(pair, filt)
             assert abs(p_min - lo) <= 1e-3
             assert abs(ratio_max - hi) <= 1e-3
 
@@ -112,10 +110,9 @@ def test_criterion_04_constrained_solves_noiseless_limit():
         pair = load_pair(DEMO_E0, DEMO_E1)
         spectrum = mismatch_spectrum(pair)
         filt = compute_filter(spectrum, pair)
-        config = SolverConfig(starts=64, seed=404)
-        p_min, _ = minimize_filter_success(pair, filt, 0.0, 0.0, config)
+        p_min, _ = minimize_filter_success(pair, filt, 0.0, 0.0)
         assert abs(p_min - 0.496) <= 0.005
-        ep_max, _ = maximize_phase_error(pair, filt, 0.0, 0.0, config)
+        ep_max, _ = maximize_phase_error(pair, filt, 0.0, 0.0)
         # residual tolerance 1e-5 amplified by at most the max ratio ~3.03
         assert ep_max <= 1e-4
 

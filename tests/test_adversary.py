@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkd_mismatch import (
-    BASIS,
     EveState,
-    SolverConfig,
     compute_filter,
     evaluate_statistics,
     load_pair,
@@ -15,18 +13,21 @@ from qkd_mismatch import (
     minimize_filter_success,
     mismatch_ratio_bounds,
     mismatch_spectrum,
+    noiseless_rate,
     optimize_unconstrained_bounds,
+    swap_detectors,
 )
-from qkd_mismatch.adversary import _build_operators, _make_objective, _stats_from_forms
+from qkd_mismatch.adversary import BASIS, _stats_from_forms
 from qkd_mismatch.errors import (
     DimensionMismatch,
     DomainError,
     NonPositiveInput,
+    NumericalFailure,
     SingularDetector,
     ZeroDenominator,
 )
 
-from conftest import random_efficiency, random_pair
+from conftest import random_efficiency, random_pair, random_unitary
 
 
 def _random_state(rng, dim, rank=1):
@@ -115,6 +116,13 @@ def test_zero_denominator_guard():
         _stats_from_forms(forms, norm2=1.0)
 
 
+def test_rates_outside_unit_interval_raise_beyond_rounding():
+    with pytest.raises(NumericalFailure):
+        _stats_from_forms(np.array([1.0, 0.0, 1.0, 0.0, 1.5, 0.0]), norm2=1.0)  # p_succ = 1.5
+    stats = _stats_from_forms(np.array([1.0, -1e-12, 1.0, 0.0, 1.0 + 1e-12, 0.0]), norm2=1.0)
+    assert stats.e_b == 0.0 and stats.p_succ == 1.0
+
+
 # --- analytic bounds ------------------------------------------------------------
 
 
@@ -145,73 +153,109 @@ def test_bounds_reciprocity_random():
 # --- constrained solves ---------------------------------------------------------
 
 
-CFG = SolverConfig(starts=16, seed=101)
-
-
-def test_min_filter_success_noiseless_limit(demo_pair, demo_filter):
-    value, witness = minimize_filter_success(demo_pair, demo_filter, 0.0, 0.0, CFG)
-    assert value == pytest.approx(0.4964, abs=0.005)
+def test_min_filter_success_noiseless_limit(demo_pair, demo_spectrum, demo_filter):
+    value, witness = minimize_filter_success(demo_pair, demo_filter, 0.0, 0.0)
+    assert value == pytest.approx(noiseless_rate(demo_spectrum).rate, abs=1e-12)
     stats = evaluate_statistics(witness, demo_pair, demo_filter)
     assert abs(stats.p_succ - value) <= 1e-6
     assert stats.e_b <= 1e-5 and stats.e_p_prime <= 1e-5
 
 
 def test_max_phase_error_noiseless_limit(demo_pair, demo_filter):
-    value, witness = maximize_phase_error(demo_pair, demo_filter, 0.0, 0.0, CFG)
-    assert value <= 1e-4
+    value, witness = maximize_phase_error(demo_pair, demo_filter, 0.0, 0.0)
+    assert value == 0.0
     stats = evaluate_statistics(witness, demo_pair, demo_filter)
     assert abs(stats.e_p - value) <= 1e-6
+
+
+def test_scalar_pair_noiseless_limit_is_closed_form():
+    pair, spectrum, filt = _pair_and_filter([[0.8]], [[0.2]])
+    p, witness = minimize_filter_success(pair, filt, 0.0, 0.0)
+    assert p == pytest.approx(noiseless_rate(spectrum).rate, abs=1e-12)  # 2 / (1 + 4)
+    assert witness.rank == 1
+    ep, _ = maximize_phase_error(pair, filt, 0.0, 0.0)
+    assert ep == 0.0
 
 
 def test_no_mismatch_solves():
     rng = np.random.default_rng(22)
     e = random_efficiency(rng, 2)
     pair, _, filt = _pair_and_filter(e, e)
-    cfg = SolverConfig(starts=8, seed=5)
-    p, _ = minimize_filter_success(pair, filt, 0.03, 0.03, cfg)
+    p, _ = minimize_filter_success(pair, filt, 0.03, 0.03)
     assert p == pytest.approx(1.0, abs=1e-6)
-    ep, _ = maximize_phase_error(pair, filt, 0.03, 0.03, cfg)
+    ep, _ = maximize_phase_error(pair, filt, 0.03, 0.03)
     assert ep == pytest.approx(0.03, abs=1e-4)
 
 
 def test_scalar_symmetric_attack_reproduces_reference():
     pair, _, filt = _pair_and_filter([[0.8]], [[0.2]])
-    cfg = SolverConfig(starts=8, seed=7, symmetric_attack=True)
-    p, _ = minimize_filter_success(pair, filt, 0.02, 0.02, cfg)
+    p, _ = minimize_filter_success(pair, filt, 0.02, 0.02, symmetric_attack=True)
     assert p == pytest.approx(0.4, abs=1e-6)
-    ep, _ = maximize_phase_error(pair, filt, 0.02, 0.02, cfg)
+    ep, _ = maximize_phase_error(pair, filt, 0.02, 0.02, symmetric_attack=True)
     assert ep == pytest.approx(0.02, abs=1e-4)
 
 
 def test_phase_error_amplification_capped(demo_pair, demo_spectrum, demo_filter):
     _, ratio_up = mismatch_ratio_bounds(demo_spectrum)
     observed = 0.01
-    ep, _ = maximize_phase_error(demo_pair, demo_filter, observed, observed, CFG)
+    ep, _ = maximize_phase_error(demo_pair, demo_filter, observed, observed)
     assert ep <= ratio_up * (observed + 2e-5) + 1e-6
     assert ep >= observed - 1e-4  # some ratio exceeds one, so amplification >= 1
 
 
 def test_constrained_min_dominates_unconstrained(demo_pair, demo_spectrum, demo_filter):
     lo, _ = mismatch_ratio_bounds(demo_spectrum)
-    p, _ = minimize_filter_success(demo_pair, demo_filter, 0.02, 0.02, CFG)
+    p, _ = minimize_filter_success(demo_pair, demo_filter, 0.02, 0.02)
     assert p >= lo - 1e-6
     assert p <= 1.0
 
 
 def test_solver_input_validation(demo_pair, demo_filter):
     with pytest.raises(DomainError):
-        minimize_filter_success(demo_pair, demo_filter, 0.7, 0.0, CFG)
+        minimize_filter_success(demo_pair, demo_filter, 0.7, 0.0)
     singular = load_pair(np.diag([0.5, 0.0]), np.diag([0.5, 0.5]))
     with pytest.raises(SingularDetector):
-        minimize_filter_success(singular, demo_filter, 0.0, 0.0, CFG)
+        minimize_filter_success(singular, demo_filter, 0.0, 0.0)
 
 
-def test_solves_deterministic_for_fixed_seed(demo_pair, demo_filter):
-    cfg = SolverConfig(starts=4, seed=33)
-    v1, w1 = minimize_filter_success(demo_pair, demo_filter, 0.01, 0.01, cfg)
-    v2, w2 = minimize_filter_success(demo_pair, demo_filter, 0.01, 0.01, cfg)
-    assert v1 == v2
-    np.testing.assert_array_equal(w1.vectors, w2.vectors)
+def test_solves_deterministic_on_repeat(demo_pair, demo_filter):
+    for solve in (minimize_filter_success, maximize_phase_error):
+        v1, w1 = solve(demo_pair, demo_filter, 0.01, 0.01)
+        v2, w2 = solve(demo_pair, demo_filter, 0.01, 0.01)
+        assert v1 == v2
+        np.testing.assert_array_equal(w1.vectors, w2.vectors)
+
+
+def _dual_bounds(pair, e):
+    filt = compute_filter(mismatch_spectrum(pair), pair)
+    p, p_witness = minimize_filter_success(pair, filt, e, e)
+    ep, ep_witness = maximize_phase_error(pair, filt, e, e)
+    for value, witness, field in ((p, p_witness, "p_succ"), (ep, ep_witness, "e_p")):
+        stats = evaluate_statistics(witness, pair, filt)
+        assert getattr(stats, field) == pytest.approx(value, abs=1e-5)
+        assert max(abs(stats.e_b - e), abs(stats.e_p_prime - e)) <= 1e-4
+    return p, ep
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.floats(min_value=0.005, max_value=0.1),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_dual_bounds_certified_and_invariant(d, e, seed):
+    rng = np.random.default_rng(seed)
+    pair = random_pair(rng, d)
+    lo, hi = mismatch_ratio_bounds(mismatch_spectrum(pair))
+    p, ep = _dual_bounds(pair, e)
+    assert lo - 1e-9 <= p <= 1.0 + 1e-9
+    assert e - 1e-9 <= ep <= hi * e + 1e-9
+    u = random_unitary(rng, d)
+    rotated = load_pair(u @ pair.e0.matrix @ u.conj().T, u @ pair.e1.matrix @ u.conj().T)
+    for other in (rotated, swap_detectors(pair)):
+        p_other, ep_other = _dual_bounds(other, e)
+        assert p_other == pytest.approx(p, abs=1e-8)
+        assert ep_other == pytest.approx(ep, abs=1e-8)
 
 
 # --- unconstrained numeric bounds ------------------------------------------------
@@ -219,7 +263,7 @@ def test_solves_deterministic_for_fixed_seed(demo_pair, demo_filter):
 
 def test_unconstrained_matches_analytic_demo(demo_pair, demo_spectrum, demo_filter):
     lo, hi = mismatch_ratio_bounds(demo_spectrum)
-    p_min, ratio_max = optimize_unconstrained_bounds(demo_pair, demo_filter, CFG)
+    p_min, ratio_max = optimize_unconstrained_bounds(demo_pair, demo_filter)
     assert p_min == pytest.approx(lo, abs=1e-3)
     assert ratio_max == pytest.approx(hi, abs=1e-2)
 
@@ -228,7 +272,7 @@ def test_unconstrained_no_mismatch():
     rng = np.random.default_rng(27)
     e = random_efficiency(rng, 2)
     pair, _, filt = _pair_and_filter(e, e)
-    p_min, ratio_max = optimize_unconstrained_bounds(pair, filt, SolverConfig(starts=8, seed=3))
+    p_min, ratio_max = optimize_unconstrained_bounds(pair, filt)
     assert p_min == pytest.approx(1.0, abs=1e-6)
     assert ratio_max == pytest.approx(1.0, abs=1e-6)
 
@@ -238,43 +282,9 @@ def test_unconstrained_diagonal_pair_pointwise_ratios():
     eta1 = np.array([0.3, 0.6])
     pair, _, filt = _pair_and_filter(np.diag(eta0), np.diag(eta1))
     ratios = np.concatenate([eta0 / eta1, eta1 / eta0])
-    p_min, ratio_max = optimize_unconstrained_bounds(pair, filt, SolverConfig(starts=16, seed=8))
+    p_min, ratio_max = optimize_unconstrained_bounds(pair, filt)
     assert p_min == pytest.approx(ratios.min(), abs=1e-3)
     assert ratio_max == pytest.approx(ratios.max(), abs=1e-3)
-
-
-def test_objective_gradients_match_finite_differences(demo_pair, demo_filter):
-    rng = np.random.default_rng(55)
-    ops = _build_operators(demo_pair, demo_filter, symmetric=False)
-    theta = rng.standard_normal(16)
-    theta /= np.linalg.norm(theta)
-    cases = [
-        ("min_psucc", dict(targets=(0.02, 0.03), mu=50.0)),
-        ("max_ep", dict(targets=(0.02, 0.03), mu=50.0)),
-        ("min_psucc_free", {}),
-        ("max_ratio", {}),
-    ]
-    h = 1e-6
-    for kind, kwargs in cases:
-        objective = _make_objective(ops, 1, kind, **kwargs)
-        _, grad = objective(theta)
-        for j in range(0, 16, 3):
-            bump = np.zeros(16)
-            bump[j] = h
-            plus, _ = objective(theta + bump)
-            minus, _ = objective(theta - bump)
-            fd = (plus - minus) / (2 * h)
-            assert grad[j] == pytest.approx(fd, rel=1e-5, abs=1e-7), kind
-
-
-def test_rank_two_states_respect_bounds(demo_pair, demo_spectrum, demo_filter):
-    lo, hi = mismatch_ratio_bounds(demo_spectrum)
-    cfg = SolverConfig(starts=8, seed=9, rank=2)
-    p, witness = minimize_filter_success(demo_pair, demo_filter, 0.02, 0.02, cfg)
-    assert witness.rank == 2
-    assert lo - 1e-6 <= p <= 1.0
-    ep, _ = maximize_phase_error(demo_pair, demo_filter, 0.02, 0.02, cfg)
-    assert ep <= hi * (0.02 + 2e-5) + 1e-6
 
 
 # --- mediant helper ---------------------------------------------------------------

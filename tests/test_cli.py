@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from qkd_mismatch import binary_entropy, write_response_csv, write_spec_file
+from qkd_mismatch import (
+    binary_entropy,
+    load_pair,
+    mismatch_spectrum,
+    noiseless_rate,
+    write_response_csv,
+    write_spec_file,
+)
 from qkd_mismatch.cli import main
 
 from conftest import DEMO_E0, DEMO_E1
@@ -135,6 +142,22 @@ def test_sweep_json_matches_csv(tmp_path, capsys, demo_spec):
     for row, doc in zip(rows, docs):
         for key in ("e_obs", "p_succ_bound", "p_succ_opt", "e_p_bound", "rate_opt"):
             assert float(row[key]) == doc[key]
+
+
+def test_sweep_ignores_former_solver_flags(capsys, demo_spec):
+    base = ["sweep", "--spec", demo_spec, "--e-max", "0.1", "--steps", "3", "--json"]
+    solver_flags = ["--starts", "8", "--rank", "1", "--tol", "1e-5", "--seed", "1"]
+    code, out, err = run_cli(capsys, *base, *solver_flags)
+    assert code == 0 and "ignored" in err
+    code, out_other, _ = run_cli(capsys, *base, "--starts", "64", "--seed", "808")
+    assert code == 0 and out_other == out
+    rows = {row["e_obs"]: row for row in json.loads(out)}
+    noiseless = noiseless_rate(mismatch_spectrum(load_pair(DEMO_E0, DEMO_E1))).rate
+    assert rows[0.0]["p_succ_opt"] == pytest.approx(noiseless, abs=1e-12)
+    assert rows[0.0]["e_p_opt"] == 0.0
+    for e, (p_golden, ep_golden) in {0.05: (0.387848, 0.108860), 0.1: (0.357901, 0.212029)}.items():
+        assert rows[e]["p_succ_opt"] == pytest.approx(p_golden, abs=1e-5)
+        assert rows[e]["e_p_opt"] == pytest.approx(ep_golden, abs=1e-5)
 
 
 def test_sweep_validates_flags(capsys, demo_spec):
