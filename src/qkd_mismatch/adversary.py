@@ -288,32 +288,60 @@ def _argmin_by_value(fun) -> float:
     return float(_scipy_minimize(fun, bounds=(lo, hi), method="bounded", options={"xatol": 1e-12}).x)
 
 
-def _argmin_by_slope(base: np.ndarray, direction: np.ndarray) -> float:
+def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of the Hermitian `m` and a unit eigenvector for it.
+
+    LAPACK's ?syevr/?heevr computes only the requested eigenpair (real
+    arithmetic for a real `m`), which is all the dual search needs.
+    """
+    n = m.shape[0]
+    evr = scipy.linalg.lapack.zheevr if m.dtype.kind == "c" else scipy.linalg.lapack.dsyevr
+    w, z, found, _, info = evr(m, range="I", il=n, iu=n, lower=1)
+    if info != 0:
+        raise NumericalFailure(f"LAPACK eigensolver failed on a {n}x{n} matrix (info {info})")
+    if found != 1:
+        # LAPACK's bisection can report no eigenvalue when the top one is
+        # nearly multiple (seen in e_p searches at d >= 6): decompose in full.
+        w, z = np.linalg.eigh(m)
+        return float(w[-1]), z[:, -1]
+    return float(w[0]), z[:, 0]
+
+
+def _argmin_by_slope(base: np.ndarray, direction: np.ndarray, start: float = 0.0, step: float = 1.0) -> float:
     """Minimizer of the convex t -> lambda_max(base + t direction).
 
     Finds the sign change of u^dag direction u, u a top eigenvector: a
     subgradient even where eigenvalues cross. Slopes pin the minimizer to
     rounding error where values pin it only to its square root, which is
-    what keeps the outer search's function smooth enough to converge.
+    what keeps the outer search's function smooth enough to converge. The
+    bracket grows geometrically downhill from `start`, a guess such as the
+    previous root.
     """
 
-    def slope(t):
-        u = np.linalg.eigh(base + t * direction)[1][:, -1]
-        return np.vdot(u, direction @ u).real
+    # SciPy's BLAS, like the eigensolver: NumPy may link a separate BLAS, and
+    # alternating between the two libraries' thread pools made a complex
+    # d = 16 solve about 12x slower with default threading.
+    blas = scipy.linalg.blas
+    hemv, dot = (blas.zhemv, blas.zdotc) if direction.dtype.kind == "c" else (blas.dsymv, blas.ddot)
 
-    s0 = slope(0.0)
+    def slope(t):
+        u = _top_eigenpair(base + t * direction)[1]
+        return dot(u, hemv(1.0, direction, u, lower=1)).real
+
+    s0 = slope(start)
     if s0 == 0.0:
-        return 0.0
+        return start
     sign = -math.copysign(1.0, s0)
-    near, far = 0.0, 1.0  # distances downhill; the slope changes sign between them
-    while (s_far := slope(sign * far)) * s0 > 0.0:
-        if far >= MULTIPLIER_CAP:
+    limit = MULTIPLIER_CAP - sign * start  # distance downhill to the cap
+    near, far = 0.0, min(step, limit)  # distances downhill; the slope changes sign between them
+    while (s_far := slope(start + sign * far)) * s0 > 0.0:
+        if far >= limit:
             return sign * MULTIPLIER_CAP
-        near, far = far, min(2.0 * far, MULTIPLIER_CAP)
+        near, far = far, min(2.0 * far, limit)
     if s_far == 0.0:
-        return sign * far
+        return start + sign * far
     # Any multiplier gives a valid bound, so an unconverged root is still used.
-    return sign * _scipy_root(lambda t: slope(sign * t), near, far, xtol=1e-14, disp=False)
+    return start + sign * _scipy_root(lambda t: slope(start + sign * t), near, far, xtol=1e-14, disp=False)
 
 
 def _minimize_top_eigenvalue(base: np.ndarray, directions: list) -> list:
@@ -321,18 +349,24 @@ def _minimize_top_eigenvalue(base: np.ndarray, directions: list) -> list:
 
     The function is convex, and so is its partial minimum over the last
     multiplier, so a search over y1 of the minimum over y2 reaches the joint
-    minimum.
+    minimum. Each inner search starts from the previous inner root, with a
+    first step as long as that root's last move (floored well above the
+    root-finding tolerance), since successive roots move less and less.
     """
     if len(directions) < 2:
         return [_argmin_by_slope(base, d) for d in directions]
     first, second = directions
+    last, moved = 0.0, 1.0
 
     def partial(t):
+        nonlocal last, moved
         m = base + t * first
-        return np.linalg.eigvalsh(m + _argmin_by_slope(m, second) * second)[-1]
+        root = _argmin_by_slope(m, second, last, moved)
+        last, moved = root, max(abs(root - last), 1e-12)
+        return _top_eigenpair(m + last * second)[0]
 
     t = _argmin_by_value(partial)
-    return [t, _argmin_by_slope(base + t * first, second)]
+    return [t, _argmin_by_slope(base + t * first, second, last, moved)]
 
 
 def _top_witness(matrix: np.ndarray, constraints: list) -> tuple[float, np.ndarray]:
@@ -383,7 +417,10 @@ def _solve_constrained(
         raise SingularDetector("bound optimization needs full-rank responses")
     ops = _build_operators(pair, filter_c, symmetric=symmetric)
     idx = _face(observed_eb, observed_epp, pair.dim)
-    zden, ebn, xden, eppn, cc, epn = ops.stacked[:, idx[:, np.newaxis], idx]
+    stacked = ops.stacked[:, idx[:, np.newaxis], idx]
+    if not stacked.imag.any():
+        stacked = stacked.real  # real pairs: real arithmetic throughout the search
+    zden, ebn, xden, eppn, cc, epn = stacked
     constraints = []
     if observed_eb > 0.0:
         constraints.append(ebn - observed_eb * zden)
@@ -426,6 +463,10 @@ def minimize_filter_success(
     witness state from the dual's extreme eigenspace that attains it up to
     the search's accuracy. `symmetric_attack` restricts Eve to attacks
     symmetrized over the bit-relabelling group.
+
+    The witness is built on the top two eigenvectors only, so where the
+    extreme eigenvalue at the optimum has multiplicity above 2 it can miss
+    the observed rates; the bound stays valid.
     """
     return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "min_psucc")
 
@@ -438,7 +479,12 @@ def maximize_phase_error(
     symmetric_attack: bool = False,
 ) -> tuple[float, EveState]:
     """Worst-case virtual phase error rate at the observed rates: a certified
-    upper bound on e_p, plus a witness state, as in `minimize_filter_success`."""
+    upper bound on e_p, plus a witness state, as in `minimize_filter_success`.
+
+    The witness can miss the observed rates where the top eigenvalue at the
+    optimum has multiplicity above 2, as on the demo pair at
+    e_b = e_p' = 0.5; the bound stays valid.
+    """
     return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "max_ep")
 
 

@@ -37,10 +37,6 @@ class Infeasible(QkdMismatchError):
     """No adversary state meets the observed-rate constraints."""
 
 
-class SolverBudgetExceeded(QkdMismatchError):
-    """Optimizer exhausted its budget without a certified result."""
-
-
 class NonPositiveInput(QkdMismatchError):
     """Input required to be a positive real number."""
 

@@ -17,7 +17,8 @@ from qkd_mismatch import (
     optimize_unconstrained_bounds,
     swap_detectors,
 )
-from qkd_mismatch.adversary import BASIS, _stats_from_forms
+from qkd_mismatch import adversary
+from qkd_mismatch.adversary import BASIS, _stats_from_forms, _top_eigenpair
 from qkd_mismatch.errors import (
     DimensionMismatch,
     DomainError,
@@ -33,6 +34,14 @@ from conftest import random_efficiency, random_pair, random_unitary
 def _random_state(rng, dim, rank=1):
     v = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
     return EveState(vectors=v)
+
+
+def _random_real_pair(rng, d, lo=0.1, hi=0.95):
+    def efficiency():
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        return (q * rng.uniform(lo, hi, size=d)) @ q.T
+
+    return load_pair(efficiency(), efficiency())
 
 
 def _pair_and_filter(e0, e1):
@@ -256,6 +265,112 @@ def test_dual_bounds_certified_and_invariant(d, e, seed):
         p_other, ep_other = _dual_bounds(other, e)
         assert p_other == pytest.approx(p, abs=1e-8)
         assert ep_other == pytest.approx(ep, abs=1e-8)
+
+
+def test_real_pair_and_complex_image_give_same_bounds(monkeypatch):
+    dtypes = set()
+
+    def spy(m):
+        dtypes.add(m.dtype.kind)
+        return _top_eigenpair(m)
+
+    monkeypatch.setattr(adversary, "_top_eigenpair", spy)
+    rng = np.random.default_rng(31)
+    for d in (3, 8):
+        pair = _random_real_pair(rng, d)
+        u = random_unitary(rng, d)
+        image = load_pair(u @ pair.e0.matrix @ u.conj().T, u @ pair.e1.matrix @ u.conj().T)
+        for solve in (minimize_filter_success, maximize_phase_error):
+            real_value, _ = solve(pair, compute_filter(mismatch_spectrum(pair), pair), 0.04, 0.04)
+            complex_value, _ = solve(image, compute_filter(mismatch_spectrum(image), image), 0.04, 0.04)
+            assert complex_value == pytest.approx(real_value, abs=1e-9)
+    assert dtypes == {"f", "c"}  # both the dsyevr and the zheevr path ran
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_dual_bounds_certified_at_d16(real):
+    rng = np.random.default_rng(16)
+    pair = _random_real_pair(rng, 16) if real else random_pair(rng, 16)
+    e = 0.05
+    filt = compute_filter(mismatch_spectrum(pair), pair)
+    lo, hi = mismatch_ratio_bounds(mismatch_spectrum(pair))
+    p, p_witness = minimize_filter_success(pair, filt, e, e)
+    ep, ep_witness = maximize_phase_error(pair, filt, e, e)
+    assert lo - 1e-9 <= p <= 1.0 + 1e-9
+    assert e - 1e-9 <= ep <= hi * e + 1e-9
+    for value, witness, field in ((p, p_witness, "p_succ"), (ep, ep_witness, "e_p")):
+        stats = evaluate_statistics(witness, pair, filt)
+        assert abs(getattr(stats, field) - value) <= 1e-5
+        assert max(abs(stats.e_b - e), abs(stats.e_p_prime - e)) <= 1e-5
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the witness uses the top two eigenvectors; here the top eigenvalue is triple",
+)
+def test_phase_error_witness_meets_constraints_at_half(demo_pair, demo_filter):
+    # The bound stays valid; only the witness misses, with e_p' near 1 (0.995 to 1.0 seen).
+    _, witness = maximize_phase_error(demo_pair, demo_filter, 0.5, 0.5)
+    stats = evaluate_statistics(witness, demo_pair, demo_filter)
+    assert abs(stats.e_p_prime - 0.5) <= 1e-4
+
+
+# --- top eigenpair ------------------------------------------------------------------
+
+
+def _hermitian(rng, n, complex_):
+    m = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0.0)
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 8, 33])
+def test_top_eigenpair_matches_full_decomposition(n, complex_):
+    rng = np.random.default_rng(100 * n + complex_)
+    for _ in range(5):
+        m = _hermitian(rng, n, complex_)
+        w, v = np.linalg.eigh(m)
+        value, u = _top_eigenpair(m)
+        assert u.dtype == m.dtype
+        assert abs(value - w[-1]) <= 1e-12 * max(1.0, np.abs(w).max())
+        assert abs(np.vdot(v[:, -1], u)) >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [2, 8, 33])
+def test_top_eigenpair_repeated_top_eigenvalue(n, complex_):
+    rng = np.random.default_rng(200 * n + complex_)
+    q = np.linalg.qr(_hermitian(rng, n, complex_))[0]
+    w = rng.uniform(-1.0, 0.5, size=n)
+    w[: min(3, n)] = 1.0
+    m = (q * w) @ q.conj().T
+    value, u = _top_eigenpair(m)
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+    top = q[:, w == 1.0]
+    assert np.linalg.norm(top.conj().T @ u) >= 1 - 1e-10
+
+
+def _lapack_evr_returning(found, info):
+    def evr(a, **kwargs):
+        return np.zeros(len(a)), np.zeros((len(a), 1)), found, np.zeros(2, dtype=np.int32), info
+
+    return evr
+
+
+def test_top_eigenpair_falls_back_when_lapack_finds_none(monkeypatch):
+    # LAPACK's bisection can report no eigenvalue for a tight cluster at the top.
+    monkeypatch.setattr(adversary.scipy.linalg.lapack, "dsyevr", _lapack_evr_returning(found=0, info=0))
+    m = _hermitian(np.random.default_rng(5), 6, False)
+    w, v = np.linalg.eigh(m)
+    value, u = _top_eigenpair(m)
+    assert value == w[-1] and abs(np.vdot(v[:, -1], u)) >= 1 - 1e-12
+
+
+def test_top_eigenpair_raises_on_lapack_error(monkeypatch):
+    monkeypatch.setattr(adversary.scipy.linalg.lapack, "zheevr", _lapack_evr_returning(found=0, info=3))
+    with pytest.raises(NumericalFailure):
+        _top_eigenpair(_hermitian(np.random.default_rng(6), 4, True))
 
 
 # --- unconstrained numeric bounds ------------------------------------------------

@@ -167,6 +167,17 @@ def test_sweep_validates_flags(capsys, demo_spec):
     assert code == 1 and "steps" in err
 
 
+def test_sweep_e_max_cap_is_inclusive(capsys, demo_spec):
+    code, out, err = run_cli(capsys, "sweep", "--spec", demo_spec, "--e-max", "0.3")
+    assert code == 1 and out == ""
+    assert "--e-max must be <= 0.25, got 0.3" in err
+    code, out, _ = run_cli(capsys, "sweep", "--spec", demo_spec, "--e-max", "0.25", "--steps", "2", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["e_obs"] for row in rows] == [0.0, 0.25]
+    assert all(row["status"] == "ok" for row in rows)
+
+
 def test_characterize_flat_quarter_roundtrip(tmp_path, capsys):
     csv0 = tmp_path / "r0.csv"
     csv1 = tmp_path / "r1.csv"
