@@ -40,13 +40,13 @@ the mismatch ratios.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq as _scipy_root
 from scipy.optimize import minimize_scalar as _scipy_minimize
 
 from .detectors import DetectorPair, MismatchSpectrum
@@ -66,6 +66,11 @@ DENOMINATOR_FLOOR = 1e-14
 # multiplier still gives a valid bound, possibly a loose one; a dual that keeps
 # improving up to the cap is how infeasible targets show.
 MULTIPLIER_CAP = 1e6
+# The witness lives on the eigenvectors within TOP_CLUSTER_TOL * ||matrix|| of
+# the top eigenvalue. At the search's final multipliers, eigenvalues that
+# cross there agree to about 1e-13 relative, and the next lie 1e-4 or more
+# below (demo grid and random pairs).
+TOP_CLUSTER_TOL = 1e-9
 
 
 def _projector_half(v) -> np.ndarray:
@@ -307,16 +312,9 @@ def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), z[:, 0]
 
 
-def _argmin_by_slope(base: np.ndarray, direction: np.ndarray, start: float = 0.0, step: float = 1.0) -> float:
-    """Minimizer of the convex t -> lambda_max(base + t direction).
-
-    Finds the sign change of u^dag direction u, u a top eigenvector: a
-    subgradient even where eigenvalues cross. Slopes pin the minimizer to
-    rounding error where values pin it only to its square root, which is
-    what keeps the outer search's function smooth enough to converge. The
-    bracket grows geometrically downhill from `start`, a guess such as the
-    previous root.
-    """
+def _top_eigen_slope(base: np.ndarray, direction: np.ndarray):
+    """t -> (lambda_max(base + t direction), u^dag direction u), u a top
+    eigenvector: the value and a subgradient, even where eigenvalues cross."""
 
     # SciPy's BLAS, like the eigensolver: NumPy may link a separate BLAS, and
     # alternating between the two libraries' thread pools made a complex
@@ -324,24 +322,95 @@ def _argmin_by_slope(base: np.ndarray, direction: np.ndarray, start: float = 0.0
     blas = scipy.linalg.blas
     hemv, dot = (blas.zhemv, blas.zdotc) if direction.dtype.kind == "c" else (blas.dsymv, blas.ddot)
 
-    def slope(t):
-        u = _top_eigenpair(base + t * direction)[1]
-        return dot(u, hemv(1.0, direction, u, lower=1)).real
+    def fun(t):
+        w, u = _top_eigenpair(base + t * direction)
+        return w, dot(u, hemv(1.0, direction, u, lower=1)).real
 
-    s0 = slope(start)
-    if s0 == 0.0:
-        return start
-    sign = -math.copysign(1.0, s0)
+    return fun
+
+
+def _model_step(lo, lo_prev, hi, hi_prev) -> float:
+    """Minimizer over [lo.t, hi.t] of the larger of two models of a convex
+    function: each side's tangent, curved by the slope change from that
+    side's previous point (None: straight)."""
+
+    def curvature(p, prev):
+        return 0.0 if prev is None else max((p[2] - prev[2]) / (p[0] - prev[0]), 0.0)
+
+    (ta, fa, ga), (tb, fb, gb) = lo, hi
+    ca, cb, w = curvature(lo, lo_prev), curvature(hi, hi_prev), tb - ta
+    # In s = t - ta: the models cross where a s^2 + b s + c = 0.
+    a, b, c = (ca - cb) / 2, ga - gb + cb * w, fa - fb + gb * w - cb * w * w / 2
+    if a != 0.0:
+        root = -(b + math.copysign(math.sqrt(max(b * b - 4 * a * c, 0.0)), b)) / 2
+        candidates = [root / a, c / root] if root != 0.0 else [-b / (2 * a)]
+    else:
+        candidates = [-c / b] if b != 0.0 else []
+    candidates += [-ga / ca] if ca > 0.0 else []
+    candidates += [w - gb / cb] if cb > 0.0 else []
+
+    def larger_model(s):
+        return max(fa + ga * s + ca * s * s / 2, fb + gb * (s - w) + cb * (s - w) ** 2 / 2)
+
+    inside = [s for s in candidates if 0.0 < s < w]
+    return ta + min(inside, key=larger_model) if inside else math.nan
+
+
+def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float, float]:
+    """Minimizer t of a convex function on [-MULTIPLIER_CAP, MULTIPLIER_CAP],
+    and its value; `fun(t)` returns (value, subgradient).
+
+    The bracket grows geometrically downhill from `start`, a guess such as
+    the previous root, until the slope changes sign. Inside it each step goes
+    to the minimizer of the larger of two models, one per side: the tangent
+    at the side's end, curved by the slope change since that side's previous
+    point. This is exact where two straight branches cross, the usual case
+    at an eigenvalue crossing, and superlinear where the function is smooth.
+    The gap between the best value and the tangents' lower bound measures
+    progress: a bisection follows whenever two steps fail to halve it (a
+    bracket rule would bisect every third step while a smooth minimum is
+    approached from one side). The search ends when the bracket is narrower
+    than 1e-14 (relative) or the gap is at rounding level, so the value is
+    the minimum to rounding even at a kink, where a search on values alone
+    stops a square root of rounding away; that keeps the outer search's
+    function smooth enough to converge.
+    """
+
+    def probe(t):
+        return (t, *fun(t))
+
+    first = probe(start)
+    if first[2] == 0.0:
+        return first[:2]
+    sign = -math.copysign(1.0, first[2])
     limit = MULTIPLIER_CAP - sign * start  # distance downhill to the cap
-    near, far = 0.0, min(step, limit)  # distances downhill; the slope changes sign between them
-    while (s_far := slope(start + sign * far)) * s0 > 0.0:
-        if far >= limit:
-            return sign * MULTIPLIER_CAP
-        near, far = far, min(2.0 * far, limit)
-    if s_far == 0.0:
-        return start + sign * far
-    # Any multiplier gives a valid bound, so an unconverged root is still used.
-    return start + sign * _scipy_root(lambda t: slope(start + sign * t), near, far, xtol=1e-14, disp=False)
+    near, near_prev, dist = first, None, min(step, limit)
+    while (far := probe(start + sign * dist if dist < limit else sign * MULTIPLIER_CAP))[2] * first[2] > 0.0:
+        if dist >= limit:
+            return far[:2]
+        near, near_prev, dist = far, near, min(2.0 * dist, limit)
+    if far[2] == 0.0:
+        return far[:2]
+    # lo has a negative slope, hi a positive one; *_prev is the point before on that side.
+    (lo, lo_prev), (hi, hi_prev) = ((near, near_prev), (far, None)) if sign > 0 else ((far, None), (near, near_prev))
+    gaps = []
+    while True:
+        (ta, fa, ga), (tb, fb, gb) = lo, hi
+        best = lo if fa <= fb else hi
+        # By convexity both tangents lie below the function; they meet at its lowest possible value.
+        gaps.append(best[1] - (fa + ga * (fb - fa + gb * (ta - tb)) / (ga - gb)))
+        if tb - ta <= 1e-14 * max(1.0, abs(ta), abs(tb)) or gaps[-1] <= 4e-16 * max(1.0, abs(best[1])):
+            return best[:2]
+        t = _model_step(lo, lo_prev, hi, hi_prev)
+        if not ta < t < tb or len(gaps) > 2 and gaps[-1] > gaps[-3] / 2:
+            t = ta + (tb - ta) / 2
+        p = probe(t)
+        if p[2] == 0.0:
+            return p[:2]
+        if p[2] < 0.0:
+            lo, lo_prev = p, lo
+        else:
+            hi, hi_prev = p, hi
 
 
 def _minimize_top_eigenvalue(base: np.ndarray, directions: list) -> list:
@@ -350,58 +419,91 @@ def _minimize_top_eigenvalue(base: np.ndarray, directions: list) -> list:
     The function is convex, and so is its partial minimum over the last
     multiplier, so a search over y1 of the minimum over y2 reaches the joint
     minimum. Each inner search starts from the previous inner root, with a
-    first step as long as that root's last move (floored well above the
-    root-finding tolerance), since successive roots move less and less.
+    first step as long as the last move of that root (floored well above the
+    search's tolerance, and kept when the root did not move), since
+    successive roots move less and less. The inner search returns its value
+    with its root, so each outer step costs only the inner search's
+    eigensolves.
     """
     if len(directions) < 2:
-        return [_argmin_by_slope(base, d) for d in directions]
+        return [_argmin_by_slope(_top_eigen_slope(base, d))[0] for d in directions]
     first, second = directions
     last, moved = 0.0, 1.0
 
     def partial(t):
         nonlocal last, moved
         m = base + t * first
-        root = _argmin_by_slope(m, second, last, moved)
-        last, moved = root, max(abs(root - last), 1e-12)
-        return _top_eigenpair(m + last * second)[0]
+        root, value = _argmin_by_slope(_top_eigen_slope(m, second), last, moved)
+        if root != last:
+            last, moved = root, max(abs(root - last), 1e-12)
+        return value
 
     t = _argmin_by_value(partial)
-    return [t, _argmin_by_slope(base + t * first, second, last, moved)]
+    return [t, _argmin_by_slope(_top_eigen_slope(base + t * first, second), last, moved)[0]]
+
+
+def _nearest_mixture(points: list) -> tuple[list, complex]:
+    """Weights (nonnegative, summing to 1) of the point of the convex hull of
+    `points` (at most three complex numbers) nearest to 0, and that point.
+
+    The nearest point is a vertex, the foot of 0 on an edge, or 0 itself
+    inside the triangle.
+    """
+    n = len(points)
+    mixtures = [[float(i == j) for j in range(n)] for i in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        edge = points[j] - points[i]
+        if edge != 0:
+            t = min(max(-(points[i].conjugate() * edge).real / abs(edge) ** 2, 0.0), 1.0)
+            mixtures.append([1.0 - t if k == i else t if k == j else 0.0 for k in range(n)])
+    if n == 3:
+        a, b, c = points
+        barycentric = [(u.conjugate() * v).imag for u, v in ((b, c), (c, a), (a, b))]
+        area = sum(barycentric)
+        if area != 0 and all(x / area >= 0.0 for x in barycentric):
+            mixtures.append([x / area for x in barycentric])
+    best = min(mixtures, key=lambda w: abs(sum(wi * z for wi, z in zip(w, points))))
+    return best, sum(wi * z for wi, z in zip(best, points))
 
 
 def _top_witness(matrix: np.ndarray, constraints: list) -> tuple[float, np.ndarray]:
     """Top eigenvalue of `matrix`, and rows v_k with rho = sum_k |v_k><v_k| on
-    its top eigenspace.
+    its top eigenspace and Tr(rho A) = 0 for each of the (at most two)
+    constraints A, as nearly as that eigenspace allows.
 
-    Within the top two eigenvectors U, R = (I + r.sigma)/2 turns each
-    constraint Tr(R U^dag A U) = 0 into a linear equation in the Bloch vector
-    r. Take the minimum-norm solution (SVD cutoff: the two equations are often
-    numerically proportional), then move along the solution set towards the
-    top eigenvector as far as the Bloch ball allows. The state meets the
-    constraints when the top eigenvalue at the optimum is at most double; a
-    higher multiplicity (seen at e_b = 0.5) leaves them unmet, while the
-    eigenvalue stays a valid bound.
+    The top eigenspace U is spanned by every eigenvector whose eigenvalue is
+    within TOP_CLUSTER_TOL * ||matrix|| of the top. A state R of trace 1 on it
+    maps to the point z = Tr(R F1) + i Tr(R F2), F = U^dag A U, and these
+    points fill a convex set whose extreme point in any direction comes from
+    an extreme eigenvector of a combination of the F. Wolfe's method over such
+    points finds the mixture of at most three of them nearest to 0, starting
+    from the top eigenvector. At optimal multipliers 0 is in the set (it is
+    the dual's optimality condition), so the state meets the constraints.
     """
     w, vecs = np.linalg.eigh(matrix)
-    top = vecs[:, ::-1][:, :2]
-    if top.shape[1] == 1:
-        return w[-1], top.T
-    forms = [top.conj().T @ a @ top for a in constraints]
-    rows = np.array([[2 * f[0, 1].real, -2 * f[0, 1].imag, (f[0, 0] - f[1, 1]).real] for f in forms])
-    rhs = np.array([-np.trace(f).real for f in forms])
-    u, s, vt = np.linalg.svd(rows.reshape(-1, 3))
-    rank = int(np.sum(s > 1e-8 * max(s.max(initial=0.0), 1.0)))
-    r = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
-    slack = 1.0 - r @ r
-    toward_top = vt[rank:].T @ vt[rank:, 2]
-    if slack < 0.0:
-        r /= math.sqrt(r @ r)
-    elif toward_top @ toward_top > 0.0:
-        r += math.sqrt(slack) * toward_top / math.sqrt(toward_top @ toward_top)
-    bloch = 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]], [r[0] + 1j * r[1], 1 - r[2]]])
-    p, q = np.linalg.eigh(bloch)
-    keep = p > 0.0
-    return w[-1], (top @ (q[:, keep] * np.sqrt(p[keep]))).T
+    top = vecs[:, w >= w[-1] - TOP_CLUSTER_TOL * max(abs(w[0]), abs(w[-1]))][:, ::-1]
+    f1, f2 = ([top.conj().T @ a @ top for a in constraints] + [np.zeros((top.shape[1],) * 2)] * 2)[:2]
+    scale = max(np.abs(f1).max(), np.abs(f2).max())
+
+    def point(x):
+        return (x.conj() @ f1 @ x).real + 1j * (x.conj() @ f2 @ x).real
+
+    atoms = [np.eye(top.shape[1], dtype=top.dtype)[0]]
+    points, weights = [point(atoms[0])], [1.0]
+    nearest = points[0]
+    for _ in range(100):
+        if abs(nearest) <= 1e-13 * scale:
+            break
+        # The point of the set furthest along -nearest: a bottom eigenvector.
+        x = np.linalg.eigh(nearest.real * f1 + nearest.imag * f2)[1][:, 0]
+        more_points = points + [point(x)]
+        more_weights, more_nearest = _nearest_mixture(more_points)
+        if abs(more_nearest) >= abs(nearest):
+            break  # no point of the set is nearer to 0
+        kept = [(a, z, wi) for a, z, wi in zip(atoms + [x], more_points, more_weights) if wi > 0.0]
+        atoms, points, weights = (list(col) for col in zip(*kept))
+        nearest = more_nearest
+    return w[-1], np.sqrt(weights)[:, np.newaxis] * (top @ np.array(atoms).T).T
 
 
 def _solve_constrained(
@@ -462,11 +564,8 @@ def minimize_filter_success(
     with the observed bit and phase error rates (the dual value), plus a
     witness state from the dual's extreme eigenspace that attains it up to
     the search's accuracy. `symmetric_attack` restricts Eve to attacks
-    symmetrized over the bit-relabelling group.
-
-    The witness is built on the top two eigenvectors only, so where the
-    extreme eigenvalue at the optimum has multiplicity above 2 it can miss
-    the observed rates; the bound stays valid.
+    symmetrized over the bit-relabelling group. The witness may be a mixed
+    state (rank up to 3, times 4 when symmetrized).
     """
     return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "min_psucc")
 
@@ -480,10 +579,6 @@ def maximize_phase_error(
 ) -> tuple[float, EveState]:
     """Worst-case virtual phase error rate at the observed rates: a certified
     upper bound on e_p, plus a witness state, as in `minimize_filter_success`.
-
-    The witness can miss the observed rates where the top eigenvalue at the
-    optimum has multiplicity above 2, as on the demo pair at
-    e_b = e_p' = 0.5; the bound stays valid.
     """
     return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "max_ep")
 

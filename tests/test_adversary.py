@@ -18,7 +18,13 @@ from qkd_mismatch import (
     swap_detectors,
 )
 from qkd_mismatch import adversary
-from qkd_mismatch.adversary import BASIS, _stats_from_forms, _top_eigenpair
+from qkd_mismatch.adversary import (
+    BASIS,
+    MULTIPLIER_CAP,
+    _argmin_by_slope,
+    _stats_from_forms,
+    _top_eigenpair,
+)
 from qkd_mismatch.errors import (
     DimensionMismatch,
     DomainError,
@@ -304,15 +310,97 @@ def test_dual_bounds_certified_at_d16(real):
         assert max(abs(stats.e_b - e), abs(stats.e_p_prime - e)) <= 1e-5
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the witness uses the top two eigenvectors; here the top eigenvalue is triple",
-)
 def test_phase_error_witness_meets_constraints_at_half(demo_pair, demo_filter):
-    # The bound stays valid; only the witness misses, with e_p' near 1 (0.995 to 1.0 seen).
+    # The top eigenvalue at the optimum is triple here.
     _, witness = maximize_phase_error(demo_pair, demo_filter, 0.5, 0.5)
     stats = evaluate_statistics(witness, demo_pair, demo_filter)
     assert abs(stats.e_p_prime - 0.5) <= 1e-4
+
+
+@pytest.mark.parametrize("solve", [minimize_filter_success, maximize_phase_error])
+def test_witness_meets_constraints_at_degenerate_optima(demo_pair, demo_filter, solve):
+    # Includes top eigenvalues of multiplicity 3 (e_b = e_p' = 0.5 for e_p) and a
+    # face whose e_p objective vanishes, so every eigenvalue ties (e_p' = 0).
+    field = "p_succ" if solve is minimize_filter_success else "e_p"
+    for e_b in (0.0, 0.001, 0.05, 0.5):
+        for e_pp in (0.0, 0.001, 0.05, 0.5):
+            value, witness = solve(demo_pair, demo_filter, e_b, e_pp)
+            stats = evaluate_statistics(witness, demo_pair, demo_filter)
+            assert max(abs(stats.e_b - e_b), abs(stats.e_p_prime - e_pp)) <= 1e-6, (e_b, e_pp)
+            assert abs(getattr(stats, field) - value) <= 1e-6, (e_b, e_pp)
+
+
+def test_demo_bounds_eigensolve_budget(demo_pair, demo_filter, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return _top_eigenpair(m)
+
+    monkeypatch.setattr(adversary, "_top_eigenpair", counted)
+    values = [solve(demo_pair, demo_filter, e, e)[0]
+              for e in (0.05, 0.10) for solve in (minimize_filter_success, maximize_phase_error)]
+    expected = [0.38784833589346984, 0.10885995458882268, 0.3579007871378312, 0.21202893478866747]
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+    assert len(calls) <= 1200  # 2037 with a root-bracketing search on the slope alone
+
+
+# --- one-dimensional convex minimizer ---------------------------------------------
+
+
+def _counted(fun):
+    calls = []
+
+    def wrapped(t):
+        calls.append(t)
+        return fun(t)
+
+    return wrapped, calls
+
+
+def _max_of(*branches):
+    """Convex max of (value, slope) branches, with the active branch's slope."""
+    return lambda t: max(branch(t) for branch in branches)
+
+
+def _parabola(curvature, centre):
+    return lambda t: (curvature * (t - centre) ** 2, 2 * curvature * (t - centre))
+
+
+def _line(slope, through=0.0):
+    return lambda t: (slope * (t - through), slope)
+
+
+@pytest.mark.parametrize(
+    "fun, start, root, max_evals",
+    [
+        (_parabola(3.0, 0.7), 0.0, 0.7, 6),
+        (_parabola(0.01, -123.4), 0.0, -123.4, 14),
+        (_max_of(_line(-0.1), _line(0.9)), 0.0, 0.0, 3),
+        (_max_of(_line(-0.1, 0.37), _line(0.9, 0.37)), 0.0, 0.37, 4),
+        (_max_of(_line(-5.0, -2.5), _line(1e-3, -2.5)), 0.0, -2.5, 6),
+        (_max_of(_parabola(1.0, -1.0), _parabola(2.0, 2.0)), 0.0, (2 * 2**0.5 - 1) / (1 + 2**0.5), 8),
+        (_parabola(2.0, 0.25), 0.25, 0.25, 1),
+        (_max_of(_line(-0.1, 0.4), _line(0.9, 0.4)), 0.4, 0.4, 2),
+    ],
+    ids=["quadratic", "far-quadratic", "kink", "offset-kink", "steep-kink", "two-parabolas",
+         "start-at-quadratic-min", "start-at-kink"],
+)
+def test_argmin_by_slope_finds_minimizer(fun, start, root, max_evals):
+    counted, calls = _counted(fun)
+    t, value = _argmin_by_slope(counted, start)
+    assert abs(t - root) <= 1e-12 * max(1.0, abs(root))
+    assert value == fun(t)[0]
+    assert len(calls) <= max_evals
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_argmin_by_slope_stops_at_multiplier_cap(sign):
+    for fun in (_parabola(1.0, sign * 3 * MULTIPLIER_CAP), _line(-sign * 0.5)):
+        counted, calls = _counted(fun)
+        t, _ = _argmin_by_slope(counted)
+        assert t == sign * MULTIPLIER_CAP
+        assert len(calls) <= 23  # doubling from 1 to the cap
 
 
 # --- top eigenpair ------------------------------------------------------------------
