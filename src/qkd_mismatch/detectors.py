@@ -41,14 +41,17 @@ class EfficiencyResponse:
         return self.matrix.diagonal().real.copy()
 
 
-def validate_efficiency(raw) -> EfficiencyResponse:
-    """Check Hermiticity and the spectrum window [0, 1]; return the response."""
+def _hermitian(raw) -> np.ndarray:
     try:
-        m = linalg.require_hermitian(raw)
+        return linalg.require_hermitian(raw)
     except NotHermitian as exc:
         raise InvalidEfficiency(str(exc)) from exc
-    tol = linalg.PSD_RTOL * max(1.0, linalg.frobenius(m))
-    w = np.linalg.eigvalsh(m)
+
+
+def _checked_response(m: np.ndarray, w: np.ndarray, scale: float) -> EfficiencyResponse:
+    """Response for Hermitian `m` with eigenvalues `w`, if they lie in [0, 1]
+    to within PSD_RTOL * scale, where scale = max(1, ||m||_F)."""
+    tol = linalg.PSD_RTOL * scale
     if w.min() < -tol or w.max() > 1.0 + tol:
         raise InvalidEfficiency(
             f"efficiency eigenvalues [{w.min():.6g}, {w.max():.6g}] outside [0, 1]"
@@ -56,6 +59,12 @@ def validate_efficiency(raw) -> EfficiencyResponse:
     m = m.copy()
     m.setflags(write=False)
     return EfficiencyResponse(matrix=m)
+
+
+def validate_efficiency(raw) -> EfficiencyResponse:
+    """Check Hermiticity and the spectrum window [0, 1]; return the response."""
+    m = _hermitian(raw)
+    return _checked_response(m, np.linalg.eigvalsh(m), max(1.0, linalg.frobenius(m)))
 
 
 @dataclass(frozen=True)
@@ -89,29 +98,24 @@ class MismatchSpectrum:
     basis: np.ndarray
 
 
-def _is_full_rank(e: EfficiencyResponse) -> bool:
-    w = np.linalg.eigvalsh(e.matrix)
-    return bool(w.min() > RANK_RTOL * max(1.0, linalg.frobenius(e.matrix)))
+def _factor(raw) -> tuple[EfficiencyResponse, np.ndarray, bool]:
+    """Validated response, principal square root and full-rank flag of one raw
+    matrix, all from a single eigendecomposition."""
+    m = _hermitian(raw)
+    eig = linalg.hermitian_eig(m)
+    scale = max(1.0, linalg.frobenius(m))
+    response = _checked_response(m, eig.eigenvalues, scale)
+    f = linalg.sqrt_from_eig(eig, linalg.PSD_RTOL * scale)
+    f.setflags(write=False)
+    return response, f, bool(eig.eigenvalues.min() > RANK_RTOL * scale)
 
 
 def load_pair(e0_raw, e1_raw) -> DetectorPair:
     """Validate two raw efficiency matrices and factor them."""
-    e0 = validate_efficiency(e0_raw)
-    e1 = validate_efficiency(e1_raw)
+    (e0, f0, full_rank0), (e1, f1, full_rank1) = _factor(e0_raw), _factor(e1_raw)
     if e0.dim != e1.dim:
         raise DimensionMismatch(f"detector dimensions differ: {e0.dim} vs {e1.dim}")
-    f0 = linalg.principal_sqrt(e0.matrix)
-    f1 = linalg.principal_sqrt(e1.matrix)
-    f0.setflags(write=False)
-    f1.setflags(write=False)
-    return DetectorPair(
-        e0=e0,
-        e1=e1,
-        f0=f0,
-        f1=f1,
-        full_rank0=_is_full_rank(e0),
-        full_rank1=_is_full_rank(e1),
-    )
+    return DetectorPair(e0=e0, e1=e1, f0=f0, f1=f1, full_rank0=full_rank0, full_rank1=full_rank1)
 
 
 def swap_detectors(pair: DetectorPair) -> DetectorPair:
@@ -177,7 +181,8 @@ def deflate_common_nullspace(pair: DetectorPair) -> DetectorPair:
 # --- detector spec files -----------------------------------------------------
 #
 # JSON schema: {"dimension": d, "E0": [[[re, im], ...], ...], "E1": ...,
-#               "label0": str, "label1": str}; matrices row-major.
+#               "label0": str, "label1": str}; matrices row-major. The writer
+# puts each matrix row on one line; any JSON layout reads.
 
 
 @dataclass(frozen=True)
@@ -196,11 +201,13 @@ def _matrix_from_pairs(rows, dim: int, name: str) -> np.ndarray:
     arr = np.asarray(rows, dtype=float)
     if arr.shape != (dim, dim, 2):
         raise ValueError(f"{name}: expected {dim}x{dim} [re, im] entries, got {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]  # exact: re + 1j * im would turn -0.0 into 0.0
 
 
-def _matrix_to_pairs(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+def _rows_json(m: np.ndarray) -> str:
+    """Rows of `m` as JSON arrays of [re, im] pairs, one row per line. The C
+    encoder writes each float as its repr, so values read back bit for bit."""
+    return ",\n    ".join(json.dumps(row) for row in np.stack((m.real, m.imag), -1).tolist())
 
 
 def read_spec_file(path) -> DetectorSpecFile:
@@ -225,13 +232,14 @@ def write_spec_file(path, e0, e1, label0: str = "detector0", label1: str = "dete
     m1 = linalg.as_matrix(e1)
     if m0.shape != m1.shape or m0.shape[0] != m0.shape[1]:
         raise DimensionMismatch("detector spec needs two square matrices of equal size")
-    doc = {
-        "dimension": m0.shape[0],
-        "E0": _matrix_to_pairs(m0),
-        "E1": _matrix_to_pairs(m1),
-        "label0": label0,
-        "label1": label1,
-    }
+    text = (
+        "{\n"
+        f'  "dimension": {m0.shape[0]},\n'
+        f'  "E0": [\n    {_rows_json(m0)}\n  ],\n'
+        f'  "E1": [\n    {_rows_json(m1)}\n  ],\n'
+        f'  "label0": {json.dumps(label0)},\n'
+        f'  "label1": {json.dumps(label1)}\n'
+        "}\n"
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

@@ -121,20 +121,23 @@ def hermitian_eig(a) -> HermitianEigenSystem:
     return HermitianEigenSystem(eigenvalues=w, eigenvectors=v)
 
 
-def principal_sqrt(a) -> np.ndarray:
-    """Principal (Hermitian PSD) square root.
+def sqrt_from_eig(eig: HermitianEigenSystem, tol: float) -> np.ndarray:
+    """Principal square root of the matrix with eigensystem `eig`.
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything lower raises NotPSD.
     """
-    m = require_hermitian(a)
-    eig = hermitian_eig(m)
-    tol = PSD_RTOL * max(1.0, frobenius(m))
     w = eig.eigenvalues
     if np.min(w) < -tol:
         raise NotPSD(f"eigenvalue {np.min(w):.3e} below -{tol:.3e}")
     root = np.sqrt(np.clip(w, 0.0, None))
     s = (eig.eigenvectors * root[np.newaxis, :]) @ eig.eigenvectors.conj().T
     return 0.5 * (s + s.conj().T)
+
+
+def principal_sqrt(a) -> np.ndarray:
+    """Principal (Hermitian PSD) square root, as in `sqrt_from_eig`."""
+    m = require_hermitian(a)
+    return sqrt_from_eig(hermitian_eig(m), PSD_RTOL * max(1.0, frobenius(m)))
 
 
 def psd_leq(a, b) -> bool:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkd_mismatch import (
@@ -258,6 +258,9 @@ def _dual_bounds(pair, e):
     st.floats(min_value=0.005, max_value=0.1),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+# Top two eigenvalues a few 1e-6 (relative) apart at the final multipliers.
+@example(d=1, e=0.0625, seed=76121)
+@example(d=1, e=0.0625, seed=80958)
 def test_dual_bounds_certified_and_invariant(d, e, seed):
     rng = np.random.default_rng(seed)
     pair = random_pair(rng, d)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,11 +8,14 @@ from qkd_mismatch import (
     deflate_common_nullspace,
     load_pair,
     mismatch_spectrum,
+    principal_sqrt,
     read_spec_file,
     swap_detectors,
     write_spec_file,
 )
+from qkd_mismatch.detectors import RANK_RTOL, validate_efficiency
 from qkd_mismatch.errors import DimensionMismatch, InvalidEfficiency, SingularDetector
+from qkd_mismatch.linalg import frobenius
 
 from conftest import DEMO_E0, DEMO_E1, random_efficiency, random_pair, random_unitary
 
@@ -135,3 +141,108 @@ def test_spec_file_roundtrip(tmp_path):
     assert (spec.label0, spec.label1) == ("early", "late")
     np.testing.assert_array_equal(spec.e0_raw, DEMO_E0.astype(complex))
     np.testing.assert_array_equal(spec.e1_raw, DEMO_E1.astype(complex))
+
+
+@pytest.mark.parametrize("d", [1, 2, 17, 64])
+def test_spec_file_roundtrip_is_bitwise(tmp_path, d):
+    rng = np.random.default_rng(d)
+    m0, m1 = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(2))
+    m0.flat[:3] = [-0.0, complex(5e-324, -0.0), complex(1e300, -5e-324)][: d * d]
+    m1.flat[-1] = complex(-1e300, 1e-300)
+    labels = ('say "hi"', "back\\slash \u00e9t\u00e9 \u2192 \U0001f600")
+    path = tmp_path / "pair.json"
+    write_spec_file(path, m0, m1, *labels)
+    spec = read_spec_file(path)
+    assert (spec.label0, spec.label1) == labels
+    assert spec.e0_raw.tobytes() == m0.tobytes()
+    assert spec.e1_raw.tobytes() == m1.tobytes()
+
+
+def test_spec_file_writes_one_matrix_row_per_line(tmp_path):
+    path = tmp_path / "pair.json"
+    write_spec_file(path, [[0.5]], [[0.25 + 0.125j]], "a", "b")
+    assert path.read_text(encoding="utf-8") == (
+        '{\n  "dimension": 1,\n'
+        '  "E0": [\n    [[0.5, 0.0]]\n  ],\n'
+        '  "E1": [\n    [[0.25, 0.125]]\n  ],\n'
+        '  "label0": "a",\n  "label1": "b"\n}\n'
+    )
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((17, 17)) + 1j * rng.standard_normal((17, 17))
+    write_spec_file(path, m, m)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 * 17 + 9
+    for i in range(17):
+        row = json.loads(lines[3 + i].rstrip(","))
+        assert row == [[z.real, z.imag] for z in m[i]]
+
+
+def test_read_shipped_indented_spec_file():
+    spec = read_spec_file(Path(__file__).resolve().parents[1] / "data" / "demo_detectors.json")
+    assert spec.e0_raw.tobytes() == DEMO_E0.astype(complex).tobytes()
+    assert spec.e1_raw.tobytes() == DEMO_E1.astype(complex).tobytes()
+
+
+def test_load_pair_runs_one_eigensolve_per_detector(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    rng = np.random.default_rng(3)
+    e0, e1 = random_efficiency(rng, 4), random_efficiency(rng, 4)
+    load_pair(e0, e1)
+    assert len(calls) == 2
+
+
+def _eigvalsh_full_rank(m):
+    return bool(np.linalg.eigvalsh(m).min() > RANK_RTOL * max(1.0, frobenius(m)))
+
+
+def test_load_pair_matches_separate_validation_root_and_rank():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        d = int(rng.integers(1, 17))
+        raws = [random_efficiency(rng, d) for _ in range(2)]
+        if rng.random() < 0.5:  # a rank-deficient detector
+            u = random_unitary(rng, d)
+            raws[int(rng.integers(2))] = (u * np.r_[rng.uniform(0.1, 0.9, d - 1), 0.0]) @ u.conj().T
+        pair = load_pair(*raws)
+        sides = ((raws[0], pair.e0, pair.f0, pair.full_rank0), (raws[1], pair.e1, pair.f1, pair.full_rank1))
+        for raw, e, f, full in sides:
+            np.testing.assert_array_equal(e.matrix, validate_efficiency(raw).matrix)
+            assert f.tobytes() == principal_sqrt(e.matrix).tobytes() == principal_sqrt(raw).tobytes()
+            assert full == _eigvalsh_full_rank(e.matrix)
+
+
+@pytest.mark.parametrize("factor, full", [(0.99, False), (1.01, True)])
+def test_load_pair_rank_flag_at_cutoff(factor, full):
+    rng = np.random.default_rng(9)
+    u = random_unitary(rng, 3)
+    e = (u * np.array([0.5, 0.3, factor * RANK_RTOL])) @ u.conj().T  # ||e||_F < 1: cutoff RANK_RTOL
+    pair = load_pair(e, 0.5 * np.eye(3))
+    assert pair.full_rank0 is full
+    assert _eigvalsh_full_rank(pair.e0.matrix) is full
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.5, 0.4], [0.1, 0.5]]),  # not Hermitian
+        np.diag([1.3, 0.5]),  # eigenvalue above 1
+        np.array([[0.15, 0.35], [0.35, 0.15]]),  # eigenvalue -0.2
+    ],
+)
+def test_load_pair_errors_match_validate_efficiency(bad):
+    with pytest.raises(InvalidEfficiency) as expected:
+        validate_efficiency(bad)
+    for args in ((bad, np.eye(2)), (np.eye(2), bad)):
+        with pytest.raises(InvalidEfficiency) as got:
+            load_pair(*args)
+        assert str(got.value) == str(expected.value)
