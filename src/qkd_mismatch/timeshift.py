@@ -7,7 +7,9 @@ index j the bit equals argmax_b eta_b(t_j) with probability
 max(eta_0, eta_1) / (eta_0 + eta_1). The simulation draws uniform bits,
 detects them through the per-index efficiencies, and compares the analytic
 guessing probability with the empirical frequency, alongside the key rates a
-mismatch-naive and a mismatch-aware receiver would claim.
+mismatch-naive and a mismatch-aware receiver would claim. It draws per-index
+counts, not signals, from their exact joint law, so its cost does not depend
+on the number of signals.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ class TimeShiftScenario:
             raise DomainError(f"shift indices must lie in [0, {self.pair.dim})")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise DomainError("shift probabilities must be nonnegative and sum to 1")
-        if self.n_signals < 1:
-            raise DomainError("n_signals must be positive")
+        if not 1 <= self.n_signals <= np.iinfo(np.int64).max:
+            raise DomainError("n_signals must be positive and fit in int64")
+        # The sampler needs an exact law; sums within the tolerance are one.
+        p = p / p.sum()
         idx.setflags(write=False)
         p.setflags(write=False)
         object.__setattr__(self, "shift_indices", idx)
@@ -73,6 +77,17 @@ class AttackOutcome:
     eve_leak_bits: float
 
 
+def _sample_counts(rng, n, probs, eta0, eta1):
+    """Detections and Eve's correct guesses per stratum, for n signals sent to
+    stratum k with probability probs[k], uniform bits detected with
+    probability eta0[k] or eta1[k], and Eve guessing 0 where eta0 >= eta1."""
+    sent = rng.multinomial(n, probs)
+    sent0 = rng.binomial(sent, 0.5)
+    det0 = rng.binomial(sent0, eta0)
+    det1 = rng.binomial(sent - sent0, eta1)
+    return det0 + det1, np.where(eta0 >= eta1, det0, det1)
+
+
 def simulate_time_shift(scenario: TimeShiftScenario) -> AttackOutcome:
     """Seeded Monte-Carlo of the time-shift attack on the scenario's pair."""
     pair = scenario.pair
@@ -88,32 +103,25 @@ def simulate_time_shift(scenario: TimeShiftScenario) -> AttackOutcome:
     cond_correct = np.where(totals > 0, np.maximum(eta0[idx], eta1[idx]) / np.where(totals > 0, totals, 1.0), 0.0)
     guess_prob = float(np.sum(probs * cond_correct))
 
-    rng = np.random.default_rng(scenario.seed)
     n = scenario.n_signals
-    which = rng.choice(idx.size, size=n, p=probs)
-    bits = rng.integers(0, 2, size=n)
-    eff = np.where(bits == 0, eta0[idx][which], eta1[idx][which])
-    detected = rng.random(n) < eff
-    guesses = np.where(eta0[idx][which] >= eta1[idx][which], 0, 1)
-    correct = detected & (guesses == bits)
+    detected, correct = _sample_counts(np.random.default_rng(scenario.seed), n, probs, eta0[idx], eta1[idx])
 
     empirical = 0.0
     variance = 0.0
     for k in range(idx.size):
         if not support[k]:
             continue
-        mask = detected & (which == k)
-        det_k = int(mask.sum())
+        det_k = int(detected[k])
         if det_k == 0:
             q_hat = float(cond_correct[k])
         else:
-            q_hat = float(correct[mask].sum()) / det_k
+            q_hat = int(correct[k]) / det_k
             variance += probs[k] ** 2 * q_hat * (1.0 - q_hat) / det_k
         empirical += probs[k] * q_hat
 
     aware = special_case_rate(pair, Knowledge.FULL_MATRICES).rate
     return AttackOutcome(
-        detected_fraction=float(detected.mean()),
+        detected_fraction=int(detected.sum()) / n,
         eve_guess_prob=guess_prob,
         eve_guess_prob_empirical=float(empirical),
         empirical_sigma=float(np.sqrt(variance)),

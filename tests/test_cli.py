@@ -13,7 +13,8 @@ from qkd_mismatch import (
     write_response_csv,
     write_spec_file,
 )
-from qkd_mismatch.cli import main
+from qkd_mismatch import cli
+from qkd_mismatch.cli import build_parser, main
 
 from conftest import DEMO_E0, DEMO_E1
 
@@ -291,3 +292,39 @@ def test_attack_mixed_shift_parsing(tmp_path, capsys):
     assert doc["eve_guess_prob"] == pytest.approx(0.25 * 0.8 + 0.75 * 0.5, abs=1e-12)
     code, _, err = run_cli(capsys, "attack", "--spec", str(path), "--shift", "0:0.25,1")
     assert code == 1 and "probabilities" in err
+
+
+def test_attack_accepts_every_valid_scenario(tmp_path, capsys):
+    path = tmp_path / "diag.json"
+    write_spec_file(path, np.diag([0.8, 0.5]), np.diag([0.2, 0.5]))
+    # A probability sum within the validation tolerance of 1.
+    code, out, _ = run_cli(capsys, "attack", "--spec", str(path), "--shift", "0:1.0000000005,1:0", "--json")
+    assert code == 0 and json.loads(out)["eve_guess_prob"] == 0.8
+    code, out, _ = run_cli(capsys, "attack", "--spec", str(path), "--n", str(2**63 - 1), "--json")
+    assert code == 0 and json.loads(out)["n_signals"] == 2**63 - 1
+    code, out, err = run_cli(capsys, "attack", "--spec", str(path), "--n", str(2**63))
+    assert code == 1 and out == "" and "int64" in err
+
+
+def test_dispatch_follows_rebound_command(monkeypatch, capsys, demo_spec):
+    args = ["attack", "--spec", demo_spec, "--n", "1000"]
+    assert run_cli(capsys, *args)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_attack", lambda ns: seen.append(ns.n) or 7)
+    assert run_cli(capsys, *args)[0] == 7
+    assert seen == [1000]
+
+
+def _help(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["attack", "--help"], ["sweep", "--help"]])
+def test_help_matches_a_fresh_parser(capsys, argv):
+    expected = _help(capsys, build_parser().parse_args, argv)
+    assert "usage: qkd-mismatch" in expected
+    assert _help(capsys, main, argv) == expected
+    assert _help(capsys, main, argv) == expected
