@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adversary import maximize_phase_error, minimize_filter_success, mismatch_ratio_bounds
+from .adversary import _sweep_warm_starts, maximize_phase_error, minimize_filter_success, mismatch_ratio_bounds
 from .characterize import diagonal_only_response, discretize_response, read_response_csv, sample_grid
 from .detectors import (
     DetectorPair,
@@ -175,7 +175,8 @@ def cmd_sweep(args) -> int:
     pair, _, _ = _load_pair_from_spec(args.spec)
     if not pair.full_rank:
         pair = deflate_common_nullspace(pair)
-    rows = _sweep_rows(pair, args)
+    with _sweep_warm_starts():  # each grid point's dual search starts where the previous one ended
+        rows = _sweep_rows(pair, args)
 
     if args.json:
         doc = [{k: row[k] for k in SWEEP_COLUMNS} for row in rows]
@@ -248,7 +249,7 @@ def cmd_characterize(args) -> int:
 # --- attack ---------------------------------------------------------------------
 
 
-def _parse_shift(text: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+def _parse_shift(text: str) -> tuple[np.ndarray, np.ndarray]:
     indices = []
     probs = []
     for token in text.split(","):
@@ -274,15 +275,16 @@ def _parse_shift(text: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_attack(args) -> int:
     pair, _, _ = _load_pair_from_spec(args.spec)
-    indices, probs = _parse_shift(args.shift, pair.dim)
+    indices, probs = _parse_shift(args.shift)
     scenario = TimeShiftScenario(
         pair=pair, shift_indices=indices, shift_probs=probs, n_signals=args.n, seed=args.seed
     )
     outcome = simulate_time_shift(scenario)
     if args.json:
         _emit_json({
-            "shift_indices": [int(i) for i in indices],
-            "shift_probs": [float(p) for p in probs],
+            # The law the scenario simulates and weights eve_guess_prob with.
+            "shift_indices": [int(i) for i in scenario.shift_indices],
+            "shift_probs": [float(p) for p in scenario.shift_probs],
             "n_signals": args.n,
             "seed": args.seed,
             "detected_fraction": outcome.detected_fraction,

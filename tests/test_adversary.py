@@ -19,10 +19,14 @@ from qkd_mismatch import (
 )
 from qkd_mismatch import adversary
 from qkd_mismatch.adversary import (
+    _SYMMETRY_GROUP,
     BASIS,
     MULTIPLIER_CAP,
     _argmin_by_slope,
+    _build_operators,
+    _constrained_slope,
     _stats_from_forms,
+    _sweep_warm_starts,
     _top_eigenpair,
 )
 from qkd_mismatch.errors import (
@@ -80,6 +84,40 @@ def test_basis_each_is_half_rank_one_projector():
               BASIS.xpp, BASIS.xmp, BASIS.xpm, BASIS.xmm):
         w = np.linalg.eigvalsh(m)
         np.testing.assert_allclose(np.sort(w), [0, 0, 0, 1], atol=1e-14)
+
+
+# --- operator stack -------------------------------------------------------------
+
+
+def _kron_operators(pair, filter_c, symmetric):
+    """The six trace-functional operators built term by term with np.kron."""
+    e0, e1, gram = pair.e0.matrix, pair.e1.matrix, filter_c.gram
+    b = BASIS
+    mats = [
+        np.kron(b.z00 + b.z10, e0) + np.kron(b.z11 + b.z01, e1),
+        np.kron(b.z10, e0) + np.kron(b.z01, e1),
+        np.kron(b.xpp + b.xmp, e0) + np.kron(b.xmm + b.xpm, e1),
+        np.kron(b.xmp, e0) + np.kron(b.xpm, e1),
+        np.kron(np.eye(4), gram),
+        np.kron(b.xmp + b.xpm, gram),
+    ]
+    if symmetric:
+        reps = [np.kron(g, np.eye(pair.dim)) for g in _SYMMETRY_GROUP]
+        mats = [sum(r @ m @ r for r in reps) / len(reps) for m in mats]
+    return np.stack([m.astype(complex) for m in mats])
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_operator_stack_matches_kron_reference(d, real):
+    rng = np.random.default_rng(40 + d)
+    pair = _random_real_pair(rng, d) if real else random_pair(rng, d)
+    filt = compute_filter(mismatch_spectrum(pair), pair)
+    plain = _build_operators(pair, filt, symmetric=False)
+    assert plain.dim == 4 * d and plain.stacked.shape == (6, 4 * d, 4 * d)
+    np.testing.assert_array_equal(plain.stacked, _kron_operators(pair, filt, False))
+    symmetric = _build_operators(pair, filt, symmetric=True).stacked
+    np.testing.assert_allclose(symmetric, _kron_operators(pair, filt, True), rtol=0, atol=1e-15)
 
 
 # --- statistics ---------------------------------------------------------------
@@ -345,7 +383,85 @@ def test_demo_bounds_eigensolve_budget(demo_pair, demo_filter, monkeypatch):
               for e in (0.05, 0.10) for solve in (minimize_filter_success, maximize_phase_error)]
     expected = [0.38784833589346984, 0.10885995458882268, 0.3579007871378312, 0.21202893478866747]
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
-    assert len(calls) <= 1200  # 2037 with a root-bracketing search on the slope alone
+    # 2037 with a root-bracketing search on the slope alone, 636 with a search
+    # on values over the first multiplier, 394 with slopes on both levels.
+    assert len(calls) <= 450
+
+
+def test_demo_witnesses_meet_rates_and_bounds(demo_pair, demo_filter):
+    for e in np.linspace(0.025, 0.25, 10):
+        for solve, field in ((minimize_filter_success, "p_succ"), (maximize_phase_error, "e_p")):
+            value, witness = solve(demo_pair, demo_filter, e, e)
+            stats = evaluate_statistics(witness, demo_pair, demo_filter)
+            assert max(abs(stats.e_b - e), abs(stats.e_p_prime - e)) <= 1e-8, (e, field)
+            assert abs(getattr(stats, field) - value) <= 1e-8, (e, field)
+
+
+def test_sweep_warm_starts_keep_bounds_and_save_eigensolves(demo_pair, demo_filter, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return _top_eigenpair(m)
+
+    monkeypatch.setattr(adversary, "_top_eigenpair", counted)
+    grid = np.linspace(0.0, 0.25, 20)
+    solves = (minimize_filter_success, maximize_phase_error)
+    cold = [solve(demo_pair, demo_filter, e, e)[0] for e in grid for solve in solves]
+    cold_calls = len(calls)
+    with _sweep_warm_starts():
+        warm = [solve(demo_pair, demo_filter, e, e)[0] for e in grid for solve in solves]
+    warm_calls = len(calls) - cold_calls
+    np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12)
+    assert warm_calls < 0.8 * cold_calls
+    # Outside the block every solve starts cold again.
+    again = [solve(demo_pair, demo_filter, e, e)[0] for e in grid for solve in solves]
+    assert again == cold and len(calls) - cold_calls - warm_calls == cold_calls
+
+
+# --- slope of the partial minimum -------------------------------------------------
+
+
+def _slope_problem(rng, n, top_multiplicity):
+    """A real symmetric matrix with a top eigenvalue of the given multiplicity
+    (value 1), its eigenvectors, and two random directions."""
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    w = rng.uniform(-1.0, 0.5, size=n)
+    w[:top_multiplicity] = 1.0
+    first, second = (_hermitian(rng, n, False) for _ in range(2))
+    return (q * w) @ q.T, q[:, :top_multiplicity], first, second
+
+
+def test_constrained_slope_simple_top_eigenvalue():
+    matrix, top, first, second = _slope_problem(np.random.default_rng(50), 8, 1)
+    u = top[:, 0]
+    assert _constrained_slope(matrix, 1.0, first, second) == pytest.approx(u @ first @ u, abs=1e-12)
+
+
+def test_constrained_slope_mixes_the_top_cluster():
+    rng = np.random.default_rng(51)
+    straddles = 0
+    for _ in range(20):
+        matrix, top, first, second = _slope_problem(rng, 8, 2)
+        s, x = np.linalg.eigh(top.T @ second @ top)
+        straddles += bool(s[0] < 0.0 < s[1])
+        # R = weight x0 x0' + (1 - weight) x1 x1' has Tr(R second) = 0 when the
+        # compressed eigenvalues straddle 0, and is otherwise the nearest state to it.
+        weight = min(max(s[1] / (s[1] - s[0]), 0.0), 1.0)
+        f1 = top.T @ first @ top
+        expected = weight * x[:, 0] @ f1 @ x[:, 0] + (1 - weight) * x[:, 1] @ f1 @ x[:, 1]
+        assert _constrained_slope(matrix, 1.0, first, second) == pytest.approx(expected, abs=1e-10)
+    assert 0 < straddles < 20
+
+
+def test_constrained_slope_falls_back_when_lapack_finds_none(monkeypatch):
+    matrix, _, first, second = _slope_problem(np.random.default_rng(52), 8, 2)
+    expected = _constrained_slope(matrix, 1.0, first, second)
+    monkeypatch.setattr(adversary.scipy.linalg.lapack, "dsyevr", _lapack_evr_returning(found=0, info=0))
+    assert _constrained_slope(matrix, 1.0, first, second) == pytest.approx(expected, abs=1e-10)
+    monkeypatch.setattr(adversary.scipy.linalg.lapack, "dsyevr", _lapack_evr_returning(found=0, info=2))
+    with pytest.raises(NumericalFailure):
+        _constrained_slope(matrix, 1.0, first, second)
 
 
 # --- one-dimensional convex minimizer ---------------------------------------------

@@ -306,6 +306,20 @@ def test_attack_accepts_every_valid_scenario(tmp_path, capsys):
     assert code == 1 and out == "" and "int64" in err
 
 
+def test_attack_json_echoes_the_simulated_law(tmp_path, capsys):
+    path = tmp_path / "diag.json"
+    write_spec_file(path, np.diag([0.8, 0.5]), np.diag([0.2, 0.5]))
+    # Within the validation tolerance of 1: the scenario simulates the normalised law.
+    code, out, _ = run_cli(capsys, "attack", "--spec", str(path), "--shift", "0:1.0000000005,1:0", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["shift_indices"] == [0, 1] and doc["shift_probs"] == [1.0, 0.0]
+    code, out, _ = run_cli(capsys, "attack", "--spec", str(path), "--shift", "1,0", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["shift_indices"] == [1, 0] and doc["shift_probs"] == [0.5, 0.5]
+
+
 def test_dispatch_follows_rebound_command(monkeypatch, capsys, demo_spec):
     args = ["attack", "--spec", demo_spec, "--n", "1000"]
     assert run_cli(capsys, *args)[0] == 0
