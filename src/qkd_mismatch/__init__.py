@@ -41,16 +41,17 @@ from .detectors import (
     write_spec_file,
 )
 from .filtering import (
+    Analysis,
     Knowledge,
     NoiselessRate,
     VirtualFilterC,
     ZeroRateReason,
+    analyze_pair,
     compute_filter,
     noiseless_rate,
     noiseless_rate_bruteforce,
     special_case_rate,
 )
-from .linalg import HermitianEigenSystem, hermitian_eig, principal_sqrt, psd_leq
 from .rates import (
     KeyRateReport,
     RateMethod,
@@ -64,6 +65,7 @@ from .timeshift import AttackOutcome, TimeShiftScenario, simulate_time_shift
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "AttackOutcome",
     "ContinuousResponse",
     "DetectorPair",
@@ -71,7 +73,6 @@ __all__ = [
     "EfficiencyResponse",
     "EveState",
     "FilteredGate",
-    "HermitianEigenSystem",
     "KeyRateReport",
     "Knowledge",
     "MismatchSpectrum",
@@ -81,6 +82,7 @@ __all__ = [
     "TimeShiftScenario",
     "VirtualFilterC",
     "ZeroRateReason",
+    "analyze_pair",
     "binary_entropy",
     "compute_filter",
     "deflate_common_nullspace",
@@ -88,7 +90,6 @@ __all__ = [
     "discretize_response",
     "evaluate_statistics",
     "four_phase_rate",
-    "hermitian_eig",
     "load_pair",
     "maximize_phase_error",
     "mediant_check",
@@ -99,8 +100,6 @@ __all__ = [
     "noiseless_rate_bruteforce",
     "noisy_rate",
     "optimize_unconstrained_bounds",
-    "principal_sqrt",
-    "psd_leq",
     "read_response_csv",
     "read_spec_file",
     "sample_grid",

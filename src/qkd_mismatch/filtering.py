@@ -35,15 +35,13 @@ VALIDITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class VirtualFilterC:
-    """The contraction C, its Gram matrix, and a filter-validity certificate.
+    """The contraction's Gram matrix C^dag C and a filter-validity certificate.
 
     `validity_margin` is 1 minus the largest eigenvalue of the two blocks
     C (F_i^dag F_i)^-1 C^dag; a valid filter keeps it >= -1e-9 (one block
     always saturates at exactly 1 by construction).
     """
 
-    c: np.ndarray
-    c2_diag: np.ndarray
     gram: np.ndarray
     validity_margin: float
 
@@ -81,7 +79,6 @@ def compute_filter(spectrum: MismatchSpectrum, pair: DetectorPair) -> VirtualFil
     c = (scale[:, np.newaxis] * spectrum.basis.conj().T) @ pair.f0
     gram = c.conj().T @ c
     gram = 0.5 * (gram + gram.conj().T)
-    c2_diag = np.sqrt(np.minimum(1.0 / (1.0 + d), d / (1.0 + d)))
 
     block0 = c @ np.linalg.inv(pair.e0.matrix) @ c.conj().T
     block1 = c @ np.linalg.inv(pair.e1.matrix) @ c.conj().T
@@ -92,9 +89,8 @@ def compute_filter(spectrum: MismatchSpectrum, pair: DetectorPair) -> VirtualFil
     margin = 1.0 - float(top)
     if margin < -VALIDITY_TOL:
         raise NumericalFailure(f"filter validity margin {margin:.3e} below -{VALIDITY_TOL}")
-    for arr in (c, gram, c2_diag):
-        arr.setflags(write=False)
-    return VirtualFilterC(c=c, c2_diag=c2_diag, gram=gram, validity_margin=margin)
+    gram.setflags(write=False)
+    return VirtualFilterC(gram=gram, validity_margin=margin)
 
 
 def noiseless_rate(spectrum: MismatchSpectrum) -> NoiselessRate:
@@ -191,27 +187,42 @@ def noiseless_rate_bruteforce(
     return best
 
 
-def special_case_rate(pair: DetectorPair, knowledge: Knowledge) -> NoiselessRate:
-    """Noiseless rate with the provably-zero special cases handled.
+@dataclass(frozen=True)
+class Analysis:
+    """What every bound on a pair starts from.
+
+    `pair` is the effective pair: deflated to the common range when the two
+    detectors share a nullspace. `spectrum` is its mismatch spectrum, and None
+    exactly when `noiseless.zero_reason` is set.
+    """
+
+    pair: DetectorPair
+    noiseless: NoiselessRate
+    spectrum: MismatchSpectrum | None
+
+
+def analyze_pair(pair: DetectorPair, knowledge: Knowledge) -> Analysis:
+    """Spectrum and noiseless rate, with the provably-zero special cases handled.
 
     Diagonal-only knowledge admits no key for d >= 2 (an adversarial
     off-diagonal completion can make one response singular); a singular
     response with a nullspace the other detector does not share admits no key
     either. Matching nullspaces deflate to the common range and proceed.
     """
+    reason = None
     if knowledge is Knowledge.DIAGONAL_ONLY and pair.dim >= 2:
-        return NoiselessRate(
-            rate=0.0,
-            limiting_ratio=math.inf,
-            zero_reason=ZeroRateReason.DIAGONAL_ONLY_KNOWLEDGE,
-        )
-    if not pair.full_rank:
+        reason = ZeroRateReason.DIAGONAL_ONLY_KNOWLEDGE
+    elif not pair.full_rank:
         try:
             pair = deflate_common_nullspace(pair)
         except SingularDetector:
-            return NoiselessRate(
-                rate=0.0,
-                limiting_ratio=math.inf,
-                zero_reason=ZeroRateReason.SINGULAR_DETECTOR,
-            )
-    return noiseless_rate(mismatch_spectrum(pair))
+            reason = ZeroRateReason.SINGULAR_DETECTOR
+    if reason is not None:
+        return Analysis(pair, NoiselessRate(rate=0.0, limiting_ratio=math.inf, zero_reason=reason), None)
+    spectrum = mismatch_spectrum(pair)
+    return Analysis(pair, noiseless_rate(spectrum), spectrum)
+
+
+def special_case_rate(pair: DetectorPair, knowledge: Knowledge) -> NoiselessRate:
+    """The noiseless rate of `analyze_pair`."""
+    return analyze_pair(pair, knowledge).noiseless

@@ -20,7 +20,6 @@ from .errors import DimensionMismatch, NotHermitian, NotPSD, NumericalFailure
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
-PSD_LEQ_TOL = 1e-9
 
 
 def as_matrix(a) -> np.ndarray:
@@ -138,13 +137,3 @@ def principal_sqrt(a) -> np.ndarray:
     """Principal (Hermitian PSD) square root, as in `sqrt_from_eig`."""
     m = require_hermitian(a)
     return sqrt_from_eig(hermitian_eig(m), PSD_RTOL * max(1.0, frobenius(m)))
-
-
-def psd_leq(a, b) -> bool:
-    """Loewner-order test: True iff min eigenvalue of (b - a) >= -1e-9."""
-    ma = require_hermitian(a)
-    mb = require_hermitian(b)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shape {ma.shape} vs {mb.shape}")
-    w = np.linalg.eigvalsh(mb - ma)
-    return bool(w.min() >= -PSD_LEQ_TOL)

@@ -114,9 +114,9 @@ def test_operator_stack_matches_kron_reference(d, real):
     pair = _random_real_pair(rng, d) if real else random_pair(rng, d)
     filt = compute_filter(mismatch_spectrum(pair), pair)
     plain = _build_operators(pair, filt, symmetric=False)
-    assert plain.dim == 4 * d and plain.stacked.shape == (6, 4 * d, 4 * d)
-    np.testing.assert_array_equal(plain.stacked, _kron_operators(pair, filt, False))
-    symmetric = _build_operators(pair, filt, symmetric=True).stacked
+    assert plain.shape == (6, 4 * d, 4 * d) and not plain.flags.writeable
+    np.testing.assert_array_equal(plain, _kron_operators(pair, filt, False))
+    symmetric = _build_operators(pair, filt, symmetric=True)
     np.testing.assert_allclose(symmetric, _kron_operators(pair, filt, True), rtol=0, atol=1e-15)
 
 

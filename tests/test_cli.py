@@ -13,7 +13,7 @@ from qkd_mismatch import (
     write_response_csv,
     write_spec_file,
 )
-from qkd_mismatch import cli
+from qkd_mismatch import cli, detectors, filtering
 from qkd_mismatch.cli import build_parser, main
 
 from conftest import DEMO_E0, DEMO_E1
@@ -58,6 +58,38 @@ def test_analyze_singular_exits_two(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "analyze", "--spec", str(path))
     assert code == 2
     assert "SingularDetector" in out
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+def test_sweep_singular_exits_two(capsys, tmp_path, fmt):
+    path = tmp_path / "singular.json"
+    write_spec_file(path, np.diag([0.5, 0.0]), np.diag([0.5, 0.5]))
+    rows = tmp_path / "rows.csv"
+    code, out, err = run_cli(capsys, "sweep", "--spec", str(path), *fmt)
+    assert code == 2 and out == ""
+    assert err == "zero-rate reason: SingularDetector\n"
+    code, out, _ = run_cli(capsys, "sweep", "--spec", str(path), "--out", str(rows), *fmt)
+    assert code == 2 and out == "" and not rows.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["attack", "--n", "1000"], ["sweep", "--bounds-only", "--steps", "3"]],
+    ids=["analyze", "attack", "sweep"],
+)
+def test_each_command_builds_the_spectrum_once(monkeypatch, capsys, demo_spec, argv):
+    calls = []
+    original = detectors.mismatch_spectrum
+
+    def counting(pair):
+        calls.append(pair.dim)
+        return original(pair)
+
+    for module in (detectors, filtering, cli):
+        if getattr(module, "mismatch_spectrum", None) is original:
+            monkeypatch.setattr(module, "mismatch_spectrum", counting)
+    code, _, _ = run_cli(capsys, argv[0], "--spec", demo_spec, *argv[1:])
+    assert code == 0 and calls == [2]
 
 
 def test_analyze_diagonal_knowledge_exits_two(capsys, demo_spec):
@@ -159,6 +191,20 @@ def test_sweep_ignores_former_solver_flags(capsys, demo_spec):
     for e, (p_golden, ep_golden) in {0.05: (0.387848, 0.108860), 0.1: (0.357901, 0.212029)}.items():
         assert rows[e]["p_succ_opt"] == pytest.approx(p_golden, abs=1e-5)
         assert rows[e]["e_p_opt"] == pytest.approx(ep_golden, abs=1e-5)
+
+
+def test_sweep_rate_uses_the_tighter_certified_bounds(monkeypatch, capsys, demo_spec):
+    # Looser dual values than the analytic bounds: the rate takes the bounds,
+    # and the optimized columns still report the dual values.
+    monkeypatch.setattr(cli, "minimize_filter_success", lambda *args: (0.1, None))
+    monkeypatch.setattr(cli, "maximize_phase_error", lambda *args: (0.9, None))
+    code, out, _ = run_cli(capsys, "sweep", "--spec", demo_spec, "--e-max", "0.1", "--steps", "3", "--json")
+    assert code == 0
+    for row in json.loads(out):
+        assert row["status"] == "ok"
+        assert row["p_succ_opt"] == 0.1 < row["p_succ_bound"]
+        assert row["e_p_opt"] == 0.9 > row["e_p_bound"]
+        assert row["rate_opt"] == row["rate_bound"]
 
 
 def test_sweep_validates_flags(capsys, demo_spec):

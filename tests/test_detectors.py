@@ -8,14 +8,13 @@ from qkd_mismatch import (
     deflate_common_nullspace,
     load_pair,
     mismatch_spectrum,
-    principal_sqrt,
     read_spec_file,
     swap_detectors,
     write_spec_file,
 )
 from qkd_mismatch.detectors import RANK_RTOL, validate_efficiency
 from qkd_mismatch.errors import DimensionMismatch, InvalidEfficiency, SingularDetector
-from qkd_mismatch.linalg import frobenius
+from qkd_mismatch.linalg import frobenius, principal_sqrt
 
 from conftest import DEMO_E0, DEMO_E1, random_efficiency, random_pair, random_unitary
 

@@ -5,7 +5,9 @@ import pytest
 
 from qkd_mismatch import (
     Knowledge,
+    NoiselessRate,
     ZeroRateReason,
+    analyze_pair,
     compute_filter,
     load_pair,
     mismatch_spectrum,
@@ -139,17 +141,20 @@ def test_rate_monotone_as_ratios_leave_one():
         previous = rate
 
 
+def _assert_zero_rate(pair, knowledge, reason):
+    result = special_case_rate(pair, knowledge)
+    assert result == NoiselessRate(rate=0.0, limiting_ratio=math.inf, zero_reason=reason)
+    analysis = analyze_pair(pair, knowledge)
+    assert analysis.noiseless == result and analysis.spectrum is None and analysis.pair is pair
+
+
 def test_special_case_singular_detector():
     pair = load_pair(np.diag([0.5, 0.0]), np.diag([0.5, 0.5]))
-    result = special_case_rate(pair, Knowledge.FULL_MATRICES)
-    assert result.rate == 0.0
-    assert result.zero_reason is ZeroRateReason.SINGULAR_DETECTOR
+    _assert_zero_rate(pair, Knowledge.FULL_MATRICES, ZeroRateReason.SINGULAR_DETECTOR)
 
 
 def test_special_case_diagonal_only_is_zero_for_d_at_least_two(demo_pair):
-    result = special_case_rate(demo_pair, Knowledge.DIAGONAL_ONLY)
-    assert result.rate == 0.0
-    assert result.zero_reason is ZeroRateReason.DIAGONAL_ONLY_KNOWLEDGE
+    _assert_zero_rate(demo_pair, Knowledge.DIAGONAL_ONLY, ZeroRateReason.DIAGONAL_ONLY_KNOWLEDGE)
 
 
 def test_special_case_diagonal_only_scalar_still_keys():
@@ -162,6 +167,9 @@ def test_special_case_diagonal_only_scalar_still_keys():
 def test_special_case_full_knowledge_delegates(demo_pair, demo_spectrum):
     result = special_case_rate(demo_pair, Knowledge.FULL_MATRICES)
     assert result.rate == pytest.approx(noiseless_rate(demo_spectrum).rate, abs=1e-12)
+    analysis = analyze_pair(demo_pair, Knowledge.FULL_MATRICES)
+    assert analysis.pair is demo_pair and analysis.noiseless == result
+    np.testing.assert_array_equal(analysis.spectrum.ratios, demo_spectrum.ratios)
 
 
 def test_special_case_deflates_matching_nullspaces():
@@ -174,6 +182,9 @@ def test_special_case_deflates_matching_nullspaces():
     result = special_case_rate(load_pair(e0, e1), Knowledge.FULL_MATRICES)
     assert result.zero_reason is None
     assert result.rate == pytest.approx(6.0 / 11.0, abs=1e-8)
+    analysis = analyze_pair(load_pair(e0, e1), Knowledge.FULL_MATRICES)
+    assert analysis.pair.dim == 2 and analysis.pair.full_rank and analysis.noiseless == result
+    np.testing.assert_allclose(np.sort(analysis.spectrum.ratios), [0.375, 2.5], atol=1e-8)
 
 
 def test_compute_filter_requires_full_rank():

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from qkd_mismatch import hermitian_eig, principal_sqrt, psd_leq
 from qkd_mismatch.errors import DimensionMismatch, NotHermitian, NotPSD
-from qkd_mismatch.linalg import as_matrix, require_hermitian
+from qkd_mismatch.linalg import as_matrix, hermitian_eig, principal_sqrt, require_hermitian
 
 from conftest import DEMO_E0, random_efficiency
 
@@ -94,15 +93,6 @@ def test_sqrt_clamps_tiny_negative_but_rejects_indefinite():
     assert np.linalg.eigvalsh(s).min() >= 0.0
     with pytest.raises(NotPSD):
         principal_sqrt(np.diag([1.0, -1e-6]))
-
-
-def test_psd_leq():
-    assert psd_leq(0.5 * np.eye(2), np.eye(2))
-    assert not psd_leq(np.eye(2), 0.5 * np.eye(2))
-    # a valid efficiency matrix is dominated by the identity
-    assert psd_leq(DEMO_E0, np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        psd_leq(np.eye(2), np.eye(3))
 
 
 def test_matrix_validation():
