@@ -6,14 +6,16 @@ receiver means any input reaching the detector is a train of Gaussian pulses
 on a grid spaced 1/(2B); sampling the gate window on that grid makes the
 response finite-dimensional. The detector itself is modeled as a positive
 multiplication operator eta(t) on the time axis, and its matrix on the pulse
-subspace is the Gaussian-windowed overlap matrix expressed in the
-orthonormalized pulse basis:
+subspace, in the orthonormalized pulse basis, has closed-form entries for
+pulses g(t) = exp(-t^2 / (2 sigma^2)):
 
-    E = G^(-1/2) W G^(-1/2),
-    W_jk = integral g(t - t_j) eta(t) g(t - t_k) dt,
-    G_jk = integral g(t - t_j) g(t - t_k) dt,
+    E = G^(-1/2) W G^(-1/2) = T^(-1/2) (T o S) T^(-1/2),
+    G_jk = integral g(t - t_j) g(t - t_k) dt = sigma sqrt(pi) T_jk,
+    W_jk = integral g(t - t_j) eta(t) g(t - t_k) dt = sigma sqrt(pi) T_jk S(m_jk),
 
-which is guaranteed to satisfy 0 <= E <= I for any eta in [0, 1] and reduces
+where T_jk = exp(-(t_j - t_k)^2 / (4 sigma^2)), m_jk = (t_j + t_k) / 2, o is
+the elementwise product and S(m) = E[eta(m + Z sigma / sqrt(2))] for a
+standard normal Z. E satisfies 0 <= E <= I for any eta in [0, 1] and reduces
 to eta * I for a constant response. Pulse width sigma = 1/(2 pi B sqrt(2)) so
 the pulse bandwidth matches the filter.
 """
@@ -24,12 +26,11 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .detectors import EfficiencyResponse, validate_efficiency
 from .errors import CoverageError, InvalidGate, NonPhysical
 
-POINTS_PER_SPACING = 20  # fixed-step Simpson resolution
-PAD_SPACINGS = 2  # integration window extension beyond the outermost samples
 CLIP_BUDGET = 1e-6
 
 
@@ -78,8 +79,7 @@ def sample_grid(bandwidth_hz: float, gate_start_s: float, gate_end_s: float) -> 
 class ContinuousResponse:
     """Tabulated instantaneous efficiency eta(t), linearly interpolated.
 
-    Outside the tabulated range the edge values extend flat (only the small
-    integration pad beyond the gate ever samples there).
+    Outside the tabulated range the edge values extend flat.
     """
 
     times_s: np.ndarray
@@ -114,21 +114,15 @@ def _require_coverage(resp: ContinuousResponse, gate: FilteredGate) -> None:
         )
 
 
-def _simpson_weights(n_points: int, step: float) -> np.ndarray:
-    # composite Simpson; n_points is odd by construction
-    w = np.ones(n_points)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (step / 3.0)
-
-
-def _quadrature_grid(gate: FilteredGate) -> tuple[np.ndarray, np.ndarray]:
-    spacing = gate.spacing_s
-    step = spacing / POINTS_PER_SPACING
-    n_steps = (gate.d - 1 + 2 * PAD_SPACINGS) * POINTS_PER_SPACING
-    start = gate.sample_times_s[0] - PAD_SPACINGS * spacing
-    s = start + step * np.arange(n_steps + 1)
-    return s, _simpson_weights(s.size, step)
+def _gaussian_smoothed(resp: ContinuousResponse, m: np.ndarray, h: float) -> np.ndarray:
+    # E[eta(m + hZ)] for the piecewise-linear eta: each change c of slope at a
+    # knot tau adds c * E[max(m + hZ - tau, 0)] = c * (max(m - tau, 0) + h H(-|m - tau| / h)),
+    # H(z) = z Phi(z) + phi(z); the max terms sum back to eta(m) without cancellation.
+    t, v = resp.times_s, resp.values
+    kinks = np.diff(np.diff(v) / np.diff(t), prepend=0.0, append=0.0)
+    z = -np.abs(m[:, np.newaxis] - t[np.newaxis, :]) / h
+    tails = z * ndtr(z) + np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+    return resp(m) + h * (tails @ kinks)
 
 
 def _clip_into_physical(matrix: np.ndarray) -> np.ndarray:
@@ -144,15 +138,16 @@ def _clip_into_physical(matrix: np.ndarray) -> np.ndarray:
 def discretize_response(resp: ContinuousResponse, gate: FilteredGate) -> EfficiencyResponse:
     """Full d x d efficiency matrix of eta(t) on the gate's pulse grid."""
     _require_coverage(resp, gate)
-    s, w = _quadrature_grid(gate)
     sigma = gate.pulse_sigma_s
-    pulses = np.exp(-((s[np.newaxis, :] - gate.sample_times_s[:, np.newaxis]) ** 2) / (2.0 * sigma**2))
-    eta = resp(s)
-    gram = (pulses * w) @ pulses.T
-    weighted = (pulses * (w * eta)) @ pulses.T
-    gw, gv = np.linalg.eigh(0.5 * (gram + gram.T))
+    times = gate.sample_times_s
+    overlap = np.exp(-((times[:, np.newaxis] - times[np.newaxis, :]) ** 2) / (4.0 * sigma**2))
+    # midpoints of the Nyquist grid lie on the half-spaced grid: S is Hankel
+    half_grid = times[0] + 0.5 * gate.spacing_s * np.arange(2 * gate.d - 1)
+    smoothed = _gaussian_smoothed(resp, half_grid, sigma / np.sqrt(2.0))
+    index = np.add.outer(np.arange(gate.d), np.arange(gate.d))
+    gw, gv = np.linalg.eigh(overlap)
     inv_root = (gv / np.sqrt(gw)[np.newaxis, :]) @ gv.T
-    e = inv_root @ (0.5 * (weighted + weighted.T)) @ inv_root
+    e = inv_root @ (overlap * smoothed[index]) @ inv_root
     return validate_efficiency(_clip_into_physical(e))
 
 

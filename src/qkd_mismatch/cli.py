@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
 
 def _sweep_rows(analysis: Analysis, args):
     pair = analysis.pair
-    filt = compute_filter(analysis.spectrum, pair)
+    filt = None if args.bounds_only else compute_filter(analysis.spectrum, pair)
     p_lo, ratio_up = mismatch_ratio_bounds(analysis.spectrum)
     grid = np.linspace(0.0, args.e_max, args.steps)
 

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from qkd_mismatch import (
     ContinuousResponse,
@@ -11,6 +14,9 @@ from qkd_mismatch import (
 )
 from qkd_mismatch.characterize import _clip_into_physical
 from qkd_mismatch.errors import CoverageError, InvalidGate, NonPhysical
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def flat_response(level, start=-1e-9, end=3e-9):
@@ -37,11 +43,12 @@ def test_sample_grid_invalid():
         sample_grid(0.0, 0.0, 1e-9)
 
 
-def test_flat_quarter_discretizes_to_scaled_identity():
-    gate = sample_grid(1e9, 0.0, 2e-9)
+@pytest.mark.parametrize("bandwidth_ghz", [1.0, 4.0, 15.75])
+def test_flat_quarter_discretizes_to_scaled_identity(bandwidth_ghz):
+    gate = sample_grid(bandwidth_ghz * 1e9, 0.0, 2e-9)
     e = discretize_response(flat_response(0.25), gate)
-    np.testing.assert_allclose(e.diagonal, 0.25, atol=1e-9)
-    np.testing.assert_allclose(e.matrix, 0.25 * np.eye(5), atol=1e-9)
+    np.testing.assert_allclose(e.diagonal, 0.25, atol=1e-13)
+    np.testing.assert_allclose(e.matrix, 0.25 * np.eye(gate.d), atol=1e-13)
     assert np.linalg.eigvalsh(e.matrix).max() <= 0.25 * (1 + 1e-9)
 
 
@@ -50,7 +57,7 @@ def test_constant_response_proportionality():
     unit = discretize_response(flat_response(1.0), gate).matrix
     scaled = discretize_response(flat_response(0.37), gate).matrix
     np.testing.assert_allclose(scaled, 0.37 * unit, atol=1e-12)
-    np.testing.assert_allclose(unit, np.eye(5), atol=1e-9)
+    np.testing.assert_allclose(unit, np.eye(5), atol=1e-13)
 
 
 def test_zero_response_gives_zero_matrix():
@@ -59,22 +66,28 @@ def test_zero_response_gives_zero_matrix():
     assert np.abs(e.matrix).max() == 0.0
 
 
-def _oversampled_oracle(resp, gate, oversample=10):
-    # independent quadrature: plain trapezoid at `oversample` x the step count
-    from qkd_mismatch.characterize import PAD_SPACINGS, POINTS_PER_SPACING
-
-    spacing = gate.spacing_s
-    step = spacing / (POINTS_PER_SPACING * oversample)
-    start = gate.sample_times_s[0] - PAD_SPACINGS * spacing
-    stop = gate.sample_times_s[-1] + PAD_SPACINGS * spacing
-    s = np.arange(start, stop + step / 2, step)
-    sigma = gate.pulse_sigma_s
-    pulses = np.exp(-((s[None, :] - gate.sample_times_s[:, None]) ** 2) / (2 * sigma**2))
+def _oversampled_oracle(resp, gate, points_per_spacing=200, simpson=False):
+    # independent quadrature (trapezoid or composite Simpson) over the samples
+    # padded by 2 spacings, summed in chunks of the time grid to bound memory
+    pad = 2
+    step = gate.spacing_s / points_per_spacing
+    n_steps = (gate.d - 1 + 2 * pad) * points_per_spacing
+    s = gate.sample_times_s[0] - pad * gate.spacing_s + step * np.arange(n_steps + 1)
     w = np.full(s.size, step)
-    w[0] = w[-1] = step / 2
+    if simpson:  # n_steps is even for an even points_per_spacing
+        w[1:-1:2] *= 4 / 3
+        w[2:-1:2] *= 2 / 3
+        w[[0, -1]] /= 3
+    else:
+        w[[0, -1]] /= 2
+    sigma = gate.pulse_sigma_s
     eta = resp(s)
-    gram = (pulses * w) @ pulses.T
-    weighted = (pulses * (w * eta)) @ pulses.T
+    gram = np.zeros((gate.d, gate.d))
+    weighted = np.zeros((gate.d, gate.d))
+    for chunk in np.array_split(np.arange(s.size), 1 + s.size // 20000):
+        pulses = np.exp(-((s[chunk][None, :] - gate.sample_times_s[:, None]) ** 2) / (2 * sigma**2))
+        gram += (pulses * w[chunk]) @ pulses.T
+        weighted += (pulses * (w * eta)[chunk]) @ pulses.T
     gw, gv = np.linalg.eigh(gram)
     inv_root = (gv / np.sqrt(gw)) @ gv.T
     return inv_root @ weighted @ inv_root
@@ -92,6 +105,42 @@ def test_bump_response_against_oversampled_oracle():
     assert int(np.argmax(e.diagonal)) == 2
     band = [np.abs(np.diagonal(e.matrix, k)).max() for k in range(1, gate.d)]
     assert all(b1 >= b2 - 1e-12 for b1, b2 in zip(band, band[1:]))
+
+
+@pytest.mark.parametrize("detector", [0, 1])
+@pytest.mark.parametrize("bandwidth_ghz", [1.0, 4.0, 15.75])
+def test_shipped_responses_match_refined_simpson(bandwidth_ghz, detector):
+    gate = sample_grid(bandwidth_ghz * 1e9, 0.0, 2e-9)
+    resp = read_response_csv(DATA / f"response_det{detector}.csv")
+    e = discretize_response(resp, gate)
+    oracle = _oversampled_oracle(resp, gate, points_per_spacing=2000, simpson=True)
+    assert np.abs(e.matrix - oracle).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "bandwidth_ghz, width_spacings, low, high",
+    [(4.0, 1e-4, 0.9, 0.1), (16.0, 1e-9, 0.0, 1.0)],
+    ids=["ramp", "near-vertical"],
+)
+def test_step_response_is_gaussian_smoothed_step(bandwidth_ghz, width_spacings, low, high):
+    # eta steps from `low` to `high` at tau, tabulated as a ramp centred on tau;
+    # smoothing by the pulse product exp(-(t - m)^2 / sigma^2) gives
+    # S(m) = low + (high - low) Phi((m - tau) / h), h = sigma / sqrt(2).
+    gate = sample_grid(bandwidth_ghz * 1e9, 0.0, 2e-9)
+    tau, half_width = 0.83e-9, 0.5 * width_spacings * gate.spacing_s
+    resp = ContinuousResponse(
+        times_s=np.array([-1e-9, tau - half_width, tau + half_width, 3e-9]),
+        values=np.array([low, low, high, high]),
+    )
+    e = discretize_response(resp, gate)
+    t = gate.sample_times_s
+    sigma = gate.pulse_sigma_s
+    overlap = np.exp(-((t[:, None] - t[None, :]) ** 2) / (4 * sigma**2))
+    midpoints = 0.5 * (t[:, None] + t[None, :])
+    smoothed = low + (high - low) * ndtr((midpoints - tau) / (sigma / np.sqrt(2)))
+    gw, gv = np.linalg.eigh(overlap)
+    inv_root = (gv / np.sqrt(gw)) @ gv.T
+    assert np.abs(e.matrix - inv_root @ (overlap * smoothed) @ inv_root).max() < 1e-8
 
 
 def test_diagonal_convergence_with_bandwidth_doubling():

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import qkd_mismatch
 from qkd_mismatch import (
     binary_entropy,
     load_pair,
@@ -90,6 +91,22 @@ def test_each_command_builds_the_spectrum_once(monkeypatch, capsys, demo_spec, a
             monkeypatch.setattr(module, "mismatch_spectrum", counting)
     code, _, _ = run_cli(capsys, argv[0], "--spec", demo_spec, *argv[1:])
     assert code == 0 and calls == [2]
+
+
+@pytest.mark.parametrize("extra, expected", [(["--bounds-only"], 0), ([], 1)], ids=["bounds-only", "optimized"])
+def test_sweep_builds_the_filter_only_for_optimized_columns(monkeypatch, capsys, demo_spec, extra, expected):
+    calls = []
+    original = filtering.compute_filter
+
+    def counting(spectrum, pair):
+        calls.append(pair.dim)
+        return original(spectrum, pair)
+
+    for module in (qkd_mismatch, filtering, cli):
+        if getattr(module, "compute_filter", None) is original:
+            monkeypatch.setattr(module, "compute_filter", counting)
+    code, _, _ = run_cli(capsys, "sweep", "--spec", demo_spec, "--steps", "3", *extra)
+    assert code == 0 and len(calls) == expected
 
 
 def test_analyze_diagonal_knowledge_exits_two(capsys, demo_spec):
