@@ -43,13 +43,21 @@ def test_sample_grid_invalid():
         sample_grid(0.0, 0.0, 1e-9)
 
 
-@pytest.mark.parametrize("bandwidth_ghz", [1.0, 4.0, 15.75])
-def test_flat_quarter_discretizes_to_scaled_identity(bandwidth_ghz):
-    gate = sample_grid(bandwidth_ghz * 1e9, 0.0, 2e-9)
+def _assert_flat_quarter_scaled_identity(bandwidth_hz):
+    gate = sample_grid(bandwidth_hz, 0.0, 2e-9)
     e = discretize_response(flat_response(0.25), gate)
     np.testing.assert_allclose(e.diagonal, 0.25, atol=1e-13)
     np.testing.assert_allclose(e.matrix, 0.25 * np.eye(gate.d), atol=1e-13)
     assert np.linalg.eigvalsh(e.matrix).max() <= 0.25 * (1 + 1e-9)
+
+
+def test_flat_quarter_discretizes_to_scaled_identity():
+    _assert_flat_quarter_scaled_identity(1e9)
+
+
+@pytest.mark.parametrize("bandwidth_ghz", [4.0, 15.75])
+def test_flat_quarter_scaled_identity_at_higher_bandwidth(bandwidth_ghz):
+    _assert_flat_quarter_scaled_identity(bandwidth_ghz * 1e9)
 
 
 def test_constant_response_proportionality():
