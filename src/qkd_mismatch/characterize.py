@@ -23,15 +23,19 @@ the pulse bandwidth matches the filter.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+import scipy  # `scipy.special` loads on first use: only `characterize` calls it
 
 from .detectors import EfficiencyResponse, validate_efficiency
 from .errors import CoverageError, InvalidGate, NonPhysical
 
 CLIP_BUDGET = 1e-6
+# Response-table knots per block of the smoothing sum: at d = 64 a block's
+# arrays take about 1 MB each, whatever the length of the table.
+_KNOTS_PER_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,10 @@ def sample_grid(bandwidth_hz: float, gate_start_s: float, gate_end_s: float) -> 
     """Samples spaced 1/(2B) from gate_start, covering the gate window."""
     if not (bandwidth_hz > 0.0):
         raise InvalidGate(f"bandwidth must be positive, got {bandwidth_hz}")
+    if not all(math.isfinite(x) for x in (bandwidth_hz, gate_start_s, gate_end_s)):
+        raise InvalidGate(
+            f"bandwidth and gate ends must be finite, got {bandwidth_hz} Hz, [{gate_start_s}, {gate_end_s}] s"
+        )
     if not (gate_end_s > gate_start_s):
         raise InvalidGate(f"gate end {gate_end_s} must exceed start {gate_start_s}")
     spacing = 1.0 / (2.0 * bandwidth_hz)
@@ -118,11 +126,16 @@ def _gaussian_smoothed(resp: ContinuousResponse, m: np.ndarray, h: float) -> np.
     # E[eta(m + hZ)] for the piecewise-linear eta: each change c of slope at a
     # knot tau adds c * E[max(m + hZ - tau, 0)] = c * (max(m - tau, 0) + h H(-|m - tau| / h)),
     # H(z) = z Phi(z) + phi(z); the max terms sum back to eta(m) without cancellation.
+    # The tails are summed over blocks of knots, so memory does not grow with the table.
     t, v = resp.times_s, resp.values
     kinks = np.diff(np.diff(v) / np.diff(t), prepend=0.0, append=0.0)
-    z = -np.abs(m[:, np.newaxis] - t[np.newaxis, :]) / h
-    tails = z * ndtr(z) + np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
-    return resp(m) + h * (tails @ kinks)
+    total = 0.0
+    for lo in range(0, t.size, _KNOTS_PER_BLOCK):
+        block = slice(lo, lo + _KNOTS_PER_BLOCK)
+        z = -np.abs(m[:, np.newaxis] - t[np.newaxis, block]) / h
+        tails = z * scipy.special.ndtr(z) + np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+        total = total + tails @ kinks[block]
+    return resp(m) + h * total
 
 
 def _clip_into_physical(matrix: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -160,6 +161,8 @@ def _sweep_rows(analysis: Analysis, args):
 def cmd_sweep(args) -> int:
     if args.e_max > 0.25:
         raise QkdMismatchError(f"--e-max must be <= 0.25, got {args.e_max}")
+    if not args.e_max >= 0.0:  # negative or nan
+        raise QkdMismatchError(f"--e-max must lie in [0, 0.25], got {args.e_max}")
     if args.steps < 2:
         raise QkdMismatchError(f"--steps must be >= 2, got {args.steps}")
     ignored = [flag for flag in IGNORED_SWEEP_FLAGS if getattr(args, flag[2:]) is not None]
@@ -208,6 +211,10 @@ def cmd_characterize(args) -> int:
         start_ns, end_ns = (float(tok) for tok in args.gate_ns.split(":"))
     except ValueError as exc:
         raise QkdMismatchError(f"--gate-ns expects START:END in ns, got {args.gate_ns!r}") from exc
+    if not (math.isfinite(start_ns) and math.isfinite(end_ns)):
+        raise QkdMismatchError(f"--gate-ns needs finite START:END in ns, got {args.gate_ns!r}")
+    if not math.isfinite(args.bandwidth_ghz):
+        raise QkdMismatchError(f"--bandwidth-ghz must be finite, got {args.bandwidth_ghz}")
     gate = sample_grid(args.bandwidth_ghz * 1e9, start_ns * 1e-9, end_ns * 1e-9)
     build = diagonal_only_response if args.diagonal_only else discretize_response
     responses = []
@@ -251,13 +258,12 @@ def _parse_shift(text: str) -> tuple[np.ndarray, np.ndarray]:
         token = token.strip()
         if not token:
             continue
-        if ":" in token:
-            idx_s, p_s = token.split(":")
+        idx_s, sep, p_s = token.partition(":")
+        try:
             indices.append(int(idx_s))
-            probs.append(float(p_s))
-        else:
-            indices.append(int(token))
-            probs.append(-1.0)
+            probs.append(float(p_s) if sep else -1.0)
+        except ValueError:
+            raise QkdMismatchError(f"--shift entries must be 'j' or 'j:p', got {token!r}") from None
     if not indices:
         raise QkdMismatchError("--shift needs at least one index")
     p = np.asarray(probs)

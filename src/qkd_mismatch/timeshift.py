@@ -41,7 +41,7 @@ class TimeShiftScenario:
             raise DomainError("shift indices and probabilities must match and be nonempty")
         if idx.min() < 0 or idx.max() >= self.pair.dim:
             raise DomainError(f"shift indices must lie in [0, {self.pair.dim})")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # nan fails both
             raise DomainError("shift probabilities must be nonnegative and sum to 1")
         if not 1 <= self.n_signals <= np.iinfo(np.int64).max:
             raise DomainError("n_signals must be positive and fit in int64")

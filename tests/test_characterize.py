@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from qkd_mismatch import (
     sample_grid,
     write_response_csv,
 )
-from qkd_mismatch.characterize import _clip_into_physical
+from qkd_mismatch.characterize import _KNOTS_PER_BLOCK, _clip_into_physical, _gaussian_smoothed
 from qkd_mismatch.errors import CoverageError, InvalidGate, NonPhysical
 
 
@@ -41,6 +42,15 @@ def test_sample_grid_invalid():
         sample_grid(1e9, 2e-9, 1e-9)
     with pytest.raises(InvalidGate):
         sample_grid(0.0, 0.0, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "bandwidth_hz, start_s, end_s",
+    [(np.inf, 0.0, 2e-9), (1e9, 0.0, np.inf), (1e9, -np.inf, 2e-9), (1e9, 0.0, np.nan)],
+)
+def test_sample_grid_rejects_non_finite(bandwidth_hz, start_s, end_s):
+    with pytest.raises(InvalidGate, match="finite"):
+        sample_grid(bandwidth_hz, start_s, end_s)
 
 
 def _assert_flat_quarter_scaled_identity(bandwidth_hz):
@@ -149,6 +159,56 @@ def test_step_response_is_gaussian_smoothed_step(bandwidth_ghz, width_spacings, 
     gw, gv = np.linalg.eigh(overlap)
     inv_root = (gv / np.sqrt(gw)) @ gv.T
     assert np.abs(e.matrix - inv_root @ (overlap * smoothed) @ inv_root).max() < 1e-8
+
+
+def _one_shot_smoothed(resp, m, h):
+    # `_gaussian_smoothed` with every knot's hinge tail in one array.
+    t, v = resp.times_s, resp.values
+    kinks = np.diff(np.diff(v) / np.diff(t), prepend=0.0, append=0.0)
+    z = -np.abs(m[:, np.newaxis] - t[np.newaxis, :]) / h
+    tails = z * ndtr(z) + np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+    return resp(m) + h * (tails @ kinks)
+
+
+def _wiggly_response(knots, seed=0):
+    t = np.linspace(-1e-9, 3e-9, knots)
+    wiggle = 0.02 * np.random.default_rng(seed).standard_normal(knots)
+    return ContinuousResponse(times_s=t, values=0.5 + 0.3 * np.sin(2 * np.pi * t / 1.7e-9) + wiggle)
+
+
+def _half_grid(gate):
+    return gate.sample_times_s[0] + 0.5 * gate.spacing_s * np.arange(2 * gate.d - 1)
+
+
+@pytest.mark.parametrize("detector", [0, 1])
+def test_one_block_table_smooths_as_one_shot(detector):
+    gate = sample_grid(15.75e9, 0.0, 2e-9)
+    resp = read_response_csv(DATA / f"response_det{detector}.csv")
+    assert resp.times_s.size <= _KNOTS_PER_BLOCK
+    m, h = _half_grid(gate), gate.pulse_sigma_s / np.sqrt(2.0)
+    np.testing.assert_array_equal(_gaussian_smoothed(resp, m, h), _one_shot_smoothed(resp, m, h))
+
+
+def test_several_block_table_matches_one_shot():
+    gate = sample_grid(15.75e9, 0.0, 2e-9)
+    resp = _wiggly_response(3 * _KNOTS_PER_BLOCK + 77)
+    m, h = _half_grid(gate), gate.pulse_sigma_s / np.sqrt(2.0)
+    assert np.abs(_gaussian_smoothed(resp, m, h) - _one_shot_smoothed(resp, m, h)).max() < 1e-13
+
+
+def test_long_table_memory_is_bounded():
+    gate = sample_grid(15.75e9, 0.0, 2e-9)
+    assert gate.d == 64
+    resp = _wiggly_response(30_000)
+    tracemalloc.start()
+    try:
+        e = discretize_response(resp, gate)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert e.matrix.shape == (64, 64)
+    # one (2d - 1) x knots array alone would take 30 MB
+    assert peak < 16e6
 
 
 def test_diagonal_convergence_with_bandwidth_doubling():

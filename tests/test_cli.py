@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,6 +243,37 @@ def test_sweep_e_max_cap_is_inclusive(capsys, demo_spec):
     assert all(row["status"] == "ok" for row in rows)
 
 
+def _assert_one_line_flag_error(code, out, err, flag):
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize("e_max", ["-0.1", "nan", "-inf"])
+def test_sweep_rejects_e_max_below_zero_or_nan(capsys, demo_spec, e_max):
+    _assert_one_line_flag_error(*run_cli(capsys, "sweep", "--spec", demo_spec, f"--e-max={e_max}"), "--e-max")
+
+
+@pytest.mark.parametrize(
+    "bandwidth, gate, flag",
+    [("inf", "0:2", "--bandwidth-ghz"), ("nan", "0:2", "--bandwidth-ghz"),
+     ("4", "0:inf", "--gate-ns"), ("4", "-inf:2", "--gate-ns"), ("4", "0:nan", "--gate-ns")],
+)
+def test_characterize_rejects_non_finite_flags(capsys, bandwidth, gate, flag):
+    data = Path(__file__).resolve().parent.parent / "data"
+    code, out, err = run_cli(
+        capsys, "characterize", str(data / "response_det0.csv"), str(data / "response_det1.csv"),
+        f"--bandwidth-ghz={bandwidth}", f"--gate-ns={gate}",
+    )
+    _assert_one_line_flag_error(code, out, err, flag)
+
+
+@pytest.mark.parametrize("shift", ["0:0.5:1", "0:", "x", "0:p"])
+def test_attack_names_the_bad_shift_token(capsys, demo_spec, shift):
+    code, out, err = run_cli(capsys, "attack", "--spec", demo_spec, "--shift", f"1:0.5,{shift}")
+    _assert_one_line_flag_error(code, out, err, "--shift")
+    assert repr(shift) in err
+
+
 def test_characterize_flat_quarter_roundtrip(tmp_path, capsys):
     csv0 = tmp_path / "r0.csv"
     csv1 = tmp_path / "r1.csv"
@@ -316,8 +348,6 @@ def test_attack_report_and_json_agree(tmp_path, capsys):
 
 
 def test_shipped_demo_data_pipeline(tmp_path, capsys):
-    from pathlib import Path
-
     data = Path(__file__).resolve().parent.parent / "data"
     out_spec = tmp_path / "characterized.json"
     code, _, _ = run_cli(

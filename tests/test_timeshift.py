@@ -108,6 +108,9 @@ def test_degenerate_and_invalid_scenarios():
             shift_probs=np.array([0.6, 0.6]),
             n_signals=10,
         )
+    for probs in ([np.nan, 1.0], [np.nan, np.nan]):
+        with pytest.raises(DomainError, match="nonnegative and sum to 1"):
+            TimeShiftScenario(pair=good, shift_indices=np.array([0, 1]), shift_probs=np.array(probs), n_signals=10)
     with pytest.raises(DomainError):
         TimeShiftScenario.pure(good, 5, n_signals=10)
     with pytest.raises(DomainError):
