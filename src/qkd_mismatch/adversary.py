@@ -576,10 +576,7 @@ def _solve_constrained(
         raise SingularDetector("bound optimization needs full-rank responses")
     ops = _build_operators(pair, filter_c, symmetric=symmetric)
     idx = _face(observed_eb, observed_epp, pair.dim)
-    stacked = ops[:, idx[:, np.newaxis], idx]
-    if not stacked.imag.any():
-        stacked = stacked.real  # real pairs: real arithmetic throughout the search
-    zden, ebn, xden, eppn, cc, epn = stacked
+    zden, ebn, xden, eppn, cc, epn = ops[:, idx[:, np.newaxis], idx]
     constraints = []
     if observed_eb > 0.0:
         constraints.append(ebn - observed_eb * zden)

@@ -23,13 +23,15 @@ the pulse bandwidth matches the filter.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy  # `scipy.special` loads on first use: only `characterize` calls it
 
-from .detectors import EfficiencyResponse, validate_efficiency
+from . import linalg
+from .detectors import EfficiencyResponse, _checked_response, _hermitian, validate_efficiency
 from .errors import CoverageError, InvalidGate, NonPhysical
 
 CLIP_BUDGET = 1e-6
@@ -58,6 +60,18 @@ class FilteredGate:
     @property
     def pulse_sigma_s(self) -> float:
         return 1.0 / (2.0 * np.pi * self.bandwidth_hz * np.sqrt(2.0))
+
+    @functools.cached_property
+    def pulse_overlap(self) -> tuple[np.ndarray, np.ndarray]:
+        """The normalized pulse overlap T and T^(-1/2), computed once per gate
+        since they do not depend on the response."""
+        lags = self.sample_times_s[:, np.newaxis] - self.sample_times_s[np.newaxis, :]
+        overlap = np.exp(-(lags**2) / (4.0 * self.pulse_sigma_s**2))
+        gw, gv = np.linalg.eigh(overlap)
+        inv_root = (gv / np.sqrt(gw)[np.newaxis, :]) @ gv.T
+        overlap.setflags(write=False)
+        inv_root.setflags(write=False)
+        return overlap, inv_root
 
 
 def sample_grid(bandwidth_hz: float, gate_start_s: float, gate_end_s: float) -> FilteredGate:
@@ -138,30 +152,27 @@ def _gaussian_smoothed(resp: ContinuousResponse, m: np.ndarray, h: float) -> np.
     return resp(m) + h * total
 
 
-def _clip_into_physical(matrix: np.ndarray) -> np.ndarray:
+def _clip_into_physical(matrix: np.ndarray) -> EfficiencyResponse:
     m = 0.5 * (matrix + matrix.conj().T)
     w, v = np.linalg.eigh(m)
     clip = max(0.0, float(-w.min()), float(w.max() - 1.0))
     if clip > CLIP_BUDGET:
         raise NonPhysical(f"discretized response needs clipping by {clip:.3e} to fit [0, I]")
     w = np.clip(w, 0.0, 1.0)
-    return (v * w[np.newaxis, :]) @ v.conj().T
+    # The clipped eigenvalues lie in [0, 1]; rebuilding moves them only by rounding.
+    clipped = _hermitian((v * w[np.newaxis, :]) @ v.conj().T)
+    return _checked_response(clipped, w, max(1.0, linalg.frobenius(clipped)))
 
 
 def discretize_response(resp: ContinuousResponse, gate: FilteredGate) -> EfficiencyResponse:
     """Full d x d efficiency matrix of eta(t) on the gate's pulse grid."""
     _require_coverage(resp, gate)
-    sigma = gate.pulse_sigma_s
-    times = gate.sample_times_s
-    overlap = np.exp(-((times[:, np.newaxis] - times[np.newaxis, :]) ** 2) / (4.0 * sigma**2))
+    overlap, inv_root = gate.pulse_overlap
     # midpoints of the Nyquist grid lie on the half-spaced grid: S is Hankel
-    half_grid = times[0] + 0.5 * gate.spacing_s * np.arange(2 * gate.d - 1)
-    smoothed = _gaussian_smoothed(resp, half_grid, sigma / np.sqrt(2.0))
+    half_grid = gate.sample_times_s[0] + 0.5 * gate.spacing_s * np.arange(2 * gate.d - 1)
+    smoothed = _gaussian_smoothed(resp, half_grid, gate.pulse_sigma_s / np.sqrt(2.0))
     index = np.add.outer(np.arange(gate.d), np.arange(gate.d))
-    gw, gv = np.linalg.eigh(overlap)
-    inv_root = (gv / np.sqrt(gw)[np.newaxis, :]) @ gv.T
-    e = inv_root @ (overlap * smoothed[index]) @ inv_root
-    return validate_efficiency(_clip_into_physical(e))
+    return _clip_into_physical(inv_root @ (overlap * smoothed[index]) @ inv_root)
 
 
 def diagonal_only_response(resp: ContinuousResponse, gate: FilteredGate) -> EfficiencyResponse:

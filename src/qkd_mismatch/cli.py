@@ -46,6 +46,9 @@ SWEEP_COLUMNS = [
     "status",
 ]
 IGNORED_SWEEP_FLAGS = ("--starts", "--rank", "--seed", "--tol")
+# A million rows already make about 90 MB of CSV; a longer grid is a typo,
+# not a sweep, and would end in a MemoryError from np.linspace.
+MAX_SWEEP_STEPS = 10**6
 
 
 def _sig(x: float, figures: int = 4) -> str:
@@ -163,8 +166,8 @@ def cmd_sweep(args) -> int:
         raise QkdMismatchError(f"--e-max must be <= 0.25, got {args.e_max}")
     if not args.e_max >= 0.0:  # negative or nan
         raise QkdMismatchError(f"--e-max must lie in [0, 0.25], got {args.e_max}")
-    if args.steps < 2:
-        raise QkdMismatchError(f"--steps must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS:
+        raise QkdMismatchError(f"--steps must lie in [2, {MAX_SWEEP_STEPS}], got {args.steps}")
     ignored = [flag for flag in IGNORED_SWEEP_FLAGS if getattr(args, flag[2:]) is not None]
     if ignored:
         print(f"note: {', '.join(ignored)} ignored: optimized bounds are exact dual values", file=sys.stderr)

@@ -204,10 +204,15 @@ def _matrix_from_pairs(rows, dim: int, name: str) -> np.ndarray:
     return arr.view(complex)[..., 0]  # exact: re + 1j * im would turn -0.0 into 0.0
 
 
+# One encoder for every row. The rows come fresh from `tolist()`, so the
+# circular-reference check that `json.dumps` makes would guard nothing.
+_encode_row = json.JSONEncoder(check_circular=False).encode
+
+
 def _rows_json(m: np.ndarray) -> str:
     """Rows of `m` as JSON arrays of [re, im] pairs, one row per line. The C
     encoder writes each float as its repr, so values read back bit for bit."""
-    return ",\n    ".join(json.dumps(row) for row in np.stack((m.real, m.imag), -1).tolist())
+    return ",\n    ".join(_encode_row(row) for row in np.stack((m.real, m.imag), -1).tolist())
 
 
 def read_spec_file(path) -> DetectorSpecFile:

@@ -1,11 +1,12 @@
-"""Dense complex Hermitian matrix utilities.
+"""Dense Hermitian matrix utilities, in real or complex arithmetic.
 
 Everything downstream (detector responses, filter construction, adversary
 optimization) runs on small dense matrices, so this module wraps LAPACK via
-numpy with the conventions the rest of the package relies on: eigenvalues in
-descending order, a fixed eigenvector phase/tie-break convention so repeated
-runs produce identical bases, and explicit tolerances for symmetry and
-positive-semidefiniteness checks.
+numpy: matrices stay real (float64) unless an entry has a nonzero imaginary
+part, eigenvalues come in descending order, and explicit tolerances govern
+the symmetry and positive-semidefiniteness checks. Eigenvector columns carry
+whatever phases LAPACK returns; callers use only products that do not depend
+on them (square roots, projectors, Gram matrices).
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ RECONSTRUCTION_RTOL = 1e-10
 
 
 def as_matrix(a) -> np.ndarray:
-    """Validate and return a 2-D complex matrix with finite entries."""
-    m = np.asarray(a, dtype=complex)
+    """Validate a 2-D matrix with finite entries. It comes back float64 when
+    no entry has a nonzero imaginary part and complex128 otherwise."""
+    m = np.asarray(a)
+    m = np.asarray(m, dtype=complex if m.dtype.kind in "cO" else float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise DimensionMismatch(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return m
+    return m.real.copy() if m.dtype.kind == "c" and not m.imag.any() else m
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -56,49 +59,12 @@ class HermitianEigenSystem:
     eigenvectors: np.ndarray
 
 
-def _fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real nonnegative.
-
-    Ties on the magnitude pick the lowest row index (np.argmax convention).
-    """
-    v = vectors.copy()
-    pivot_rows = np.argmax(np.abs(v), axis=0)
-    pivots = v[pivot_rows, np.arange(v.shape[1])]
-    mags = np.abs(pivots)
-    # A unit column always has a nonzero pivot; guard anyway.
-    phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
-    return v * phases.conj()[np.newaxis, :]
-
-
-def _order_degenerate_groups(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Within groups of exactly equal eigenvalues, order columns so the
-    phase-fixed eigenvectors are in descending lexicographic order of
-    (Re, Im) interleaved entries. Makes degenerate bases deterministic."""
-    out = vectors.copy()
-    start = 0
-    n = len(values)
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop] == values[start]:
-            stop += 1
-        if stop - start > 1:
-            cols = range(start, stop)
-            keys = {
-                j: tuple(np.column_stack((out[:, j].real, out[:, j].imag)).ravel())
-                for j in cols
-            }
-            order = sorted(cols, key=lambda j: keys[j], reverse=True)
-            out[:, start:stop] = out[:, order]
-        start = stop
-    return out
-
-
 def hermitian_eig(a) -> HermitianEigenSystem:
-    """Eigendecompose a Hermitian matrix with deterministic conventions.
+    """Eigendecompose a Hermitian matrix, in real arithmetic when it is real.
 
-    Returns eigenvalues in descending order; eigenvector columns carry the
-    phase convention of `_fix_column_phases`, with exact-degeneracy ties broken
-    lexicographically.
+    Returns eigenvalues in descending order and a unitary basis checked to
+    reconstruct the matrix. Column phases, and the basis inside a group of
+    equal eigenvalues, are whatever LAPACK returns.
     """
     m = require_hermitian(a)
     try:
@@ -108,8 +74,6 @@ def hermitian_eig(a) -> HermitianEigenSystem:
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = v[:, order]
-    v = _fix_column_phases(v)
-    v = _order_degenerate_groups(w, v)
 
     scale = 1.0 + frobenius(m)
     recon = (v * w[np.newaxis, :]) @ v.conj().T

@@ -266,7 +266,7 @@ def test_coverage_error():
 def test_clip_guard_rejects_unphysical():
     with pytest.raises(NonPhysical):
         _clip_into_physical(np.diag([1.01, 0.5]))
-    fixed = _clip_into_physical(np.diag([1.0 + 1e-9, 0.5]))
+    fixed = _clip_into_physical(np.diag([1.0 + 1e-9, 0.5])).matrix
     assert np.linalg.eigvalsh(fixed).max() <= 1.0
 
 

@@ -16,7 +16,7 @@ from qkd_mismatch import (
     write_spec_file,
 )
 from qkd_mismatch import cli, detectors, filtering
-from qkd_mismatch.cli import build_parser, main
+from qkd_mismatch.cli import MAX_SWEEP_STEPS, build_parser, main
 
 from conftest import DEMO_E0, DEMO_E1
 
@@ -232,6 +232,13 @@ def test_sweep_validates_flags(capsys, demo_spec):
     assert code == 1 and "steps" in err
 
 
+def test_sweep_steps_cap_ends_in_one_error_line(capsys, demo_spec):
+    for steps in (MAX_SWEEP_STEPS + 1, 100_000_000_000):
+        code, out, err = run_cli(capsys, "sweep", "--spec", demo_spec, "--bounds-only", "--steps", str(steps))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: --steps must lie in [2, {MAX_SWEEP_STEPS}], got {steps}"]
+
+
 def test_sweep_e_max_cap_is_inclusive(capsys, demo_spec):
     code, out, err = run_cli(capsys, "sweep", "--spec", demo_spec, "--e-max", "0.3")
     assert code == 1 and out == ""
@@ -371,6 +378,31 @@ def test_shipped_demo_data_pipeline(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "analyze", "--spec", str(data / "demo_detectors.json"))
     assert code == 0 and "D = [3.03, 0.356]" in out
+
+
+def test_characterize_runs_one_eigensolve_per_matrix(tmp_path, capsys, monkeypatch):
+    # One for the gate's pulse overlap, one to clip each response into [0, I]
+    # (its eigenvalues validate the response), one to factor each detector.
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    data = Path(__file__).resolve().parent.parent / "data"
+    for bandwidth in ("1", "7.75"):
+        calls.clear()
+        code, _, _ = run_cli(
+            capsys, "characterize", str(data / "response_det0.csv"), str(data / "response_det1.csv"),
+            "--bandwidth-ghz", bandwidth, "--gate-ns", "0:2", "--out", str(tmp_path / "spec.json"), "--json",
+        )
+        assert code == 0
+        assert calls == ["eigh"] * 5
 
 
 def test_attack_mixed_shift_parsing(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qkd_mismatch import (
+    compute_filter,
     deflate_common_nullspace,
     load_pair,
     mismatch_spectrum,
@@ -198,6 +199,30 @@ def test_load_pair_runs_one_eigensolve_per_detector(monkeypatch):
     e0, e1 = random_efficiency(rng, 4), random_efficiency(rng, 4)
     load_pair(e0, e1)
     assert len(calls) == 2
+
+
+def test_real_pair_stays_real_and_matches_its_complex_image():
+    rng = np.random.default_rng(12)
+    for d in (2, 5, 12):
+        raws = []
+        for _ in range(2):
+            q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            raws.append((q * rng.uniform(0.1, 0.95, d)[np.newaxis, :]) @ q.T)
+        u = random_unitary(rng, d)
+        images = [u @ r @ u.conj().T for r in raws]
+        results = []
+        # A complex array whose imaginary parts are all zero counts as real.
+        for inputs, dtype in ((raws, np.float64), ([r.astype(complex) for r in raws], np.float64),
+                              (images, np.complex128)):
+            pair = load_pair(*inputs)
+            spectrum = mismatch_spectrum(pair)
+            filt = compute_filter(spectrum, pair)
+            for a in (pair.e0.matrix, pair.e1.matrix, pair.f0, pair.f1, spectrum.basis, filt.gram):
+                assert a.dtype == dtype
+            results.append((spectrum.ratios, filt.validity_margin))
+        for ratios, margin in results[1:]:
+            np.testing.assert_allclose(ratios, results[0][0], rtol=1e-12, atol=0)
+            assert margin == pytest.approx(results[0][1], abs=1e-12)
 
 
 def _eigvalsh_full_rank(m):

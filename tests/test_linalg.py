@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qkd_mismatch import compute_filter, linalg, load_pair, mismatch_spectrum
+from qkd_mismatch.detectors import EfficiencyResponse, _nullspace_projector
 from qkd_mismatch.errors import DimensionMismatch, NotHermitian, NotPSD
-from qkd_mismatch.linalg import as_matrix, hermitian_eig, principal_sqrt, require_hermitian
+from qkd_mismatch.linalg import HermitianEigenSystem, as_matrix, hermitian_eig, principal_sqrt, require_hermitian
 
 from conftest import DEMO_E0, random_efficiency
 
@@ -29,16 +31,47 @@ def test_eig_two_by_two_hand_oracle():
     )
 
 
-def test_eig_phase_convention_largest_entry_real_nonneg():
-    rng = np.random.default_rng(7)
-    for _ in range(40):
-        d = rng.integers(1, 7)
-        a = random_efficiency(rng, d)
-        v = hermitian_eig(a).eigenvectors
-        for j in range(d):
-            pivot = v[np.argmax(np.abs(v[:, j])), j]
-            assert abs(pivot.imag) < 1e-12
-            assert pivot.real >= 0.0
+def _rephased(eig, rng):
+    """The same eigensystem in another eigenbasis: random unit phases on the
+    columns, and the columns of each exactly degenerate group permuted."""
+    w = eig.eigenvalues
+    v = eig.eigenvectors * np.exp(2j * np.pi * rng.random(w.size))[np.newaxis, :]
+    order = np.arange(w.size)
+    for value in np.unique(w):
+        group = np.flatnonzero(w == value)
+        order[group] = rng.permutation(group)
+    return HermitianEigenSystem(eigenvalues=w, eigenvectors=v[:, order])
+
+
+def _basis_dependent_products():
+    """Square roots, nullspace projectors and filter Grams of matrices with
+    exactly degenerate, zero and generic spectra."""
+    rng = np.random.default_rng(8)
+    singular = random_efficiency(rng, 4)
+    w, v = np.linalg.eigh(singular)
+    singular = (v * np.r_[0.0, w[1:]][np.newaxis, :]) @ v.conj().T
+    matrices = [np.eye(3), np.diag([0.5, 0.5, 0.3, 0.3, 0.3, 0.0]), singular, random_efficiency(rng, 5)]
+    out = [principal_sqrt(m) for m in matrices]
+    out += [_nullspace_projector(EfficiencyResponse(matrix=m))[0] for m in matrices]
+    pairs = [
+        (np.diag([0.5, 0.5, 0.3, 0.3]), np.diag([0.25, 0.25, 0.6, 0.6])),
+        (0.4 * np.eye(3), 0.4 * np.eye(3)),
+        (random_efficiency(rng, 5), random_efficiency(rng, 5)),
+    ]
+    for e0, e1 in pairs:
+        pair = load_pair(e0, e1)
+        out.append(compute_filter(mismatch_spectrum(pair), pair).gram)
+    return out
+
+
+def test_callers_do_not_depend_on_the_eigenbasis(monkeypatch):
+    reference = _basis_dependent_products()
+    rng = np.random.default_rng(9)
+    plain = linalg.hermitian_eig
+    monkeypatch.setattr(linalg, "hermitian_eig", lambda a: _rephased(plain(a), rng))
+    for _ in range(5):
+        for got, want in zip(_basis_dependent_products(), reference, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_eig_reconstruction_roundtrip_200_random():
@@ -93,6 +126,17 @@ def test_sqrt_clamps_tiny_negative_but_rejects_indefinite():
     assert np.linalg.eigvalsh(s).min() >= 0.0
     with pytest.raises(NotPSD):
         principal_sqrt(np.diag([1.0, -1e-6]))
+
+
+def test_as_matrix_keeps_real_matrices_real():
+    assert as_matrix([[1, 0], [0, 1]]).dtype == np.float64
+    zero_imag = np.array([[0.5, complex(0.25, -0.0)], [0.25, 0.5]])
+    real = as_matrix(zero_imag)
+    assert real.dtype == np.float64
+    assert real.tobytes() == zero_imag.real.tobytes()
+    hermitian = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    assert as_matrix(hermitian).dtype == np.complex128
+    np.testing.assert_array_equal(as_matrix(hermitian), hermitian)
 
 
 def test_matrix_validation():
