@@ -11,6 +11,7 @@ formula in this package.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -67,20 +68,34 @@ def validate_efficiency(raw) -> EfficiencyResponse:
     return _checked_response(m, np.linalg.eigvalsh(m), max(1.0, linalg.frobenius(m)))
 
 
+def _above_rank_cutoff(e: EfficiencyResponse, eig: linalg.HermitianEigenSystem) -> np.ndarray:
+    """Mask of the eigenvalues of `e` that count as nonzero."""
+    return eig.eigenvalues > RANK_RTOL * max(1.0, linalg.frobenius(e.matrix))
+
+
 @dataclass(frozen=True)
 class DetectorPair:
-    """Responses of both detectors plus their principal-square-root factors."""
+    """Responses of both detectors, their principal-square-root factors and
+    the eigensystems both were computed from."""
 
     e0: EfficiencyResponse
     e1: EfficiencyResponse
     f0: np.ndarray
     f1: np.ndarray
-    full_rank0: bool
-    full_rank1: bool
+    eig0: linalg.HermitianEigenSystem
+    eig1: linalg.HermitianEigenSystem
 
     @property
     def dim(self) -> int:
         return self.e0.dim
+
+    @functools.cached_property
+    def full_rank0(self) -> bool:
+        return bool(_above_rank_cutoff(self.e0, self.eig0).all())
+
+    @functools.cached_property
+    def full_rank1(self) -> bool:
+        return bool(_above_rank_cutoff(self.e1, self.eig1).all())
 
     @property
     def full_rank(self) -> bool:
@@ -98,8 +113,8 @@ class MismatchSpectrum:
     basis: np.ndarray
 
 
-def _factor(raw) -> tuple[EfficiencyResponse, np.ndarray, bool]:
-    """Validated response, principal square root and full-rank flag of one raw
+def _factor(raw) -> tuple[EfficiencyResponse, np.ndarray, linalg.HermitianEigenSystem]:
+    """Validated response, principal square root and eigensystem of one raw
     matrix, all from a single eigendecomposition."""
     m = _hermitian(raw)
     eig = linalg.hermitian_eig(m)
@@ -107,27 +122,20 @@ def _factor(raw) -> tuple[EfficiencyResponse, np.ndarray, bool]:
     response = _checked_response(m, eig.eigenvalues, scale)
     f = linalg.sqrt_from_eig(eig, linalg.PSD_RTOL * scale)
     f.setflags(write=False)
-    return response, f, bool(eig.eigenvalues.min() > RANK_RTOL * scale)
+    return response, f, eig
 
 
 def load_pair(e0_raw, e1_raw) -> DetectorPair:
     """Validate two raw efficiency matrices and factor them."""
-    (e0, f0, full_rank0), (e1, f1, full_rank1) = _factor(e0_raw), _factor(e1_raw)
+    (e0, f0, eig0), (e1, f1, eig1) = _factor(e0_raw), _factor(e1_raw)
     if e0.dim != e1.dim:
         raise DimensionMismatch(f"detector dimensions differ: {e0.dim} vs {e1.dim}")
-    return DetectorPair(e0=e0, e1=e1, f0=f0, f1=f1, full_rank0=full_rank0, full_rank1=full_rank1)
+    return DetectorPair(e0=e0, e1=e1, f0=f0, f1=f1, eig0=eig0, eig1=eig1)
 
 
 def swap_detectors(pair: DetectorPair) -> DetectorPair:
     """Exchange the roles of the bit-0 and bit-1 detectors."""
-    return DetectorPair(
-        e0=pair.e1,
-        e1=pair.e0,
-        f0=pair.f1,
-        f1=pair.f0,
-        full_rank0=pair.full_rank1,
-        full_rank1=pair.full_rank0,
-    )
+    return DetectorPair(e0=pair.e1, e1=pair.e0, f0=pair.f1, f1=pair.f0, eig0=pair.eig1, eig1=pair.eig0)
 
 
 def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
@@ -146,11 +154,12 @@ def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
     return MismatchSpectrum(ratios=ratios, basis=basis)
 
 
-def _nullspace_projector(e: EfficiencyResponse) -> tuple[np.ndarray, np.ndarray]:
-    """Return (null projector, range basis columns) at the rank cutoff."""
-    eig = linalg.hermitian_eig(e.matrix)
-    cutoff = RANK_RTOL * max(1.0, linalg.frobenius(e.matrix))
-    keep = eig.eigenvalues > cutoff
+def _nullspace_projector(
+    e: EfficiencyResponse, eig: linalg.HermitianEigenSystem
+) -> tuple[np.ndarray, np.ndarray]:
+    """Return (null projector, range basis columns) of `e`, whose eigensystem
+    is `eig`, at the rank cutoff."""
+    keep = _above_rank_cutoff(e, eig)
     v_range = eig.eigenvectors[:, keep]
     v_null = eig.eigenvectors[:, ~keep]
     return v_null @ v_null.conj().T, v_range
@@ -167,8 +176,8 @@ def deflate_common_nullspace(pair: DetectorPair) -> DetectorPair:
         return pair
     if pair.full_rank0 != pair.full_rank1:
         raise SingularDetector("nullspaces differ: only one detector is singular")
-    p0, v_range = _nullspace_projector(pair.e0)
-    p1, _ = _nullspace_projector(pair.e1)
+    p0, v_range = _nullspace_projector(pair.e0, pair.eig0)
+    p1, _ = _nullspace_projector(pair.e1, pair.eig1)
     if linalg.frobenius(p0 - p1) > NULLSPACE_TOL:
         raise SingularDetector("detectors are singular with different nullspaces")
     if v_range.shape[1] == 0:
@@ -198,28 +207,45 @@ class DetectorSpecFile:
 
 
 def _matrix_from_pairs(rows, dim: int, name: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: entries must be [re, im] pairs of numbers ({exc})") from exc
     if arr.shape != (dim, dim, 2):
         raise ValueError(f"{name}: expected {dim}x{dim} [re, im] entries, got {arr.shape}")
     return arr.view(complex)[..., 0]  # exact: re + 1j * im would turn -0.0 into 0.0
 
 
-# One encoder for every row. The rows come fresh from `tolist()`, so the
-# circular-reference check that `json.dumps` makes would guard nothing.
-_encode_row = json.JSONEncoder(check_circular=False).encode
-
-
 def _rows_json(m: np.ndarray) -> str:
-    """Rows of `m` as JSON arrays of [re, im] pairs, one row per line. The C
-    encoder writes each float as its repr, so values read back bit for bit."""
-    return ",\n    ".join(_encode_row(row) for row in np.stack((m.real, m.imag), -1).tolist())
+    """Rows of `m` as JSON arrays of [re, im] pairs, one row per line.
+
+    Each float is written as its repr, as the json encoder writes it, so
+    values read back bit for bit. The repr is the cost, and a symmetric or
+    real matrix holds few distinct numbers: each distinct bit pattern (0.0
+    and -0.0 count apart) is formatted once, and the rows are assembled from
+    the inverse index.
+    """
+    pairs = np.stack((m.real, m.imag), -1)
+    bits, inverse = np.unique(pairs.view(np.int64), return_inverse=True)
+    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    parts = text[inverse.reshape(pairs.shape)]
+    entries = parts[..., 0] + ", " + parts[..., 1]
+    return ",\n    ".join("[[" + "], [".join(row) + "]]" for row in entries.tolist())
 
 
 def read_spec_file(path) -> DetectorSpecFile:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("detector spec nests arrays or objects too deeply") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"detector spec must be a JSON object, got {type(doc).__name__}")
     try:
-        dim = int(doc["dimension"])
+        dim = doc["dimension"]
+        # A JSON integer: bool is an int subclass, and 1.9 or 1e400 are floats.
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"detector spec dimension must be an integer >= 1, got {json.dumps(dim)}")
         e0 = _matrix_from_pairs(doc["E0"], dim, "E0")
         e1 = _matrix_from_pairs(doc["E1"], dim, "E1")
     except KeyError as exc:

@@ -131,6 +131,15 @@ def test_analyze_missing_file_errors(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("doc", ["[]", '{"dimension": null}', '{"dimension": 1e400}'])
+def test_analyze_malformed_spec_ends_in_one_error_line(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--spec", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: detector spec ") and err.count("\n") == 1
+
+
 def _parse_sweep(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, "sweep produced no rows"

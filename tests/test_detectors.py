@@ -1,23 +1,32 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qkd_mismatch import (
+    Knowledge,
+    analyze_pair,
     compute_filter,
     deflate_common_nullspace,
+    discretize_response,
     load_pair,
     mismatch_spectrum,
+    read_response_csv,
     read_spec_file,
+    sample_grid,
     swap_detectors,
     write_spec_file,
 )
+from qkd_mismatch import detectors
 from qkd_mismatch.detectors import RANK_RTOL, validate_efficiency
 from qkd_mismatch.errors import DimensionMismatch, InvalidEfficiency, SingularDetector
 from qkd_mismatch.linalg import frobenius, principal_sqrt
 
 from conftest import DEMO_E0, DEMO_E1, random_efficiency, random_pair, random_unitary
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def test_load_pair_uniform_quarter():
@@ -158,6 +167,34 @@ def test_spec_file_roundtrip_is_bitwise(tmp_path, d):
     assert spec.e1_raw.tobytes() == m1.tobytes()
 
 
+_ONE_DIM_SPEC = '{{"dimension": {}, "E0": [[[{}, 0.0]]], "E1": [[[0.5, 0.0]]]}}'
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[]", "must be a JSON object, got list"),
+        ('"E0"', "must be a JSON object, got str"),
+        (_ONE_DIM_SPEC.format("null", 0.5), "integer >= 1, got null"),
+        (_ONE_DIM_SPEC.format("1e400", 0.5), "integer >= 1, got Infinity"),
+        (_ONE_DIM_SPEC.format("1.9", 0.5), "integer >= 1, got 1.9"),
+        (_ONE_DIM_SPEC.format("true", 0.5), "integer >= 1, got true"),
+        (_ONE_DIM_SPEC.format('"1"', 0.5), 'integer >= 1, got "1"'),
+        (_ONE_DIM_SPEC.format("0", 0.5), "integer >= 1, got 0"),
+        (_ONE_DIM_SPEC.format("1", '{"re": 0.5}'), "E0: entries must be [re, im] pairs of numbers"),
+        (_ONE_DIM_SPEC.format("1", "1" + "0" * 400), "E0: entries must be [re, im] pairs of numbers"),
+        ("[" * 100_000 + "]" * 100_000, "nests arrays or objects too deeply"),
+    ],
+    ids=["array", "string", "dim-null", "dim-1e400", "dim-1.9", "dim-true", "dim-string", "dim-0",
+         "entry-object", "entry-overflow", "deep-nesting"],
+)
+def test_malformed_spec_file_raises_value_error(tmp_path, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(doc, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_spec_file(path)
+
+
 def test_spec_file_writes_one_matrix_row_per_line(tmp_path):
     path = tmp_path / "pair.json"
     write_spec_file(path, [[0.5]], [[0.25 + 0.125j]], "a", "b")
@@ -177,13 +214,62 @@ def test_spec_file_writes_one_matrix_row_per_line(tmp_path):
         assert row == [[z.real, z.imag] for z in m[i]]
 
 
+def _json_encoder_rows(m):
+    """The spec writer's rows as the json encoder writes them, one per line."""
+    encode = json.JSONEncoder().encode
+    return ",\n    ".join(encode(row) for row in np.stack((m.real, m.imag), -1).tolist())
+
+
+def _characterized(bandwidth_ghz, d):
+    gate = sample_grid(bandwidth_ghz * 1e9, 0.0, 2e-9)
+    assert gate.d == d
+    return [discretize_response(read_response_csv(DATA / f"response_det{k}.csv"), gate).matrix for k in (0, 1)]
+
+
+def _hermitian_with_edge_values():
+    rng = np.random.default_rng(7)
+    upper = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+    upper[:4] = [complex(5e-324, -0.0), complex(1e300, -1e300), complex(-0.0, 2.5e-310), complex(-1e300, 0.0)]
+    m = np.empty((6, 6), dtype=complex)
+    rows, cols = np.triu_indices(6, 1)
+    m[rows, cols] = upper
+    m[cols, rows] = upper.conj()
+    m[np.diag_indices(6)] = [complex(x, z) for x, z in zip((0.5, -0.0, 1e300, -1e300, 5e-324, 0.0), (0.0, -0.0) * 3)]
+    return m, -m.T
+
+
+def _general_pair():
+    rng = np.random.default_rng(4)
+    return rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)), rng.standard_normal((9, 9))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: _characterized(0.25, 2), id="characterized-d2"),
+        pytest.param(lambda: _characterized(4.0, 17), id="characterized-d17"),
+        pytest.param(lambda: _characterized(15.5, 63), id="characterized-d63"),
+        pytest.param(_hermitian_with_edge_values, id="hermitian-edge-values"),
+        pytest.param(_general_pair, id="general"),
+        pytest.param(lambda: ([[complex(-0.0, 1e-300)]], [[0.25]]), id="1x1"),
+    ],
+)
+def test_spec_writer_matches_the_json_encoder(tmp_path, monkeypatch, build):
+    m0, m1 = build()
+    write_spec_file(tmp_path / "new.json", m0, m1, "a", "b")
+    monkeypatch.setattr(detectors, "_rows_json", _json_encoder_rows)
+    write_spec_file(tmp_path / "reference.json", m0, m1, "a", "b")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+
+
 def test_read_shipped_indented_spec_file():
     spec = read_spec_file(Path(__file__).resolve().parents[1] / "data" / "demo_detectors.json")
     assert spec.e0_raw.tobytes() == DEMO_E0.astype(complex).tobytes()
     assert spec.e1_raw.tobytes() == DEMO_E1.astype(complex).tobytes()
 
 
-def test_load_pair_runs_one_eigensolve_per_detector(monkeypatch):
+def _count_eigensolves(monkeypatch):
+    """The list every later `np.linalg.eigh` / `eigvalsh` call appends its name to."""
     calls = []
 
     def counted(fn):
@@ -195,10 +281,24 @@ def test_load_pair_runs_one_eigensolve_per_detector(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return calls
+
+
+def test_load_pair_runs_one_eigensolve_per_detector(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
     rng = np.random.default_rng(3)
     e0, e1 = random_efficiency(rng, 4), random_efficiency(rng, 4)
     load_pair(e0, e1)
     assert len(calls) == 2
+
+
+def test_deflation_reuses_the_eigensystems_of_load_pair(monkeypatch):
+    calls = _count_eigensolves(monkeypatch)
+    analysis = analyze_pair(load_pair(np.diag([0.8, 0.5, 0.0]), np.diag([0.3, 0.6, 0.0])), Knowledge.FULL_MATRICES)
+    # Two in load_pair, two in the reduced load_pair, one for the spectrum.
+    assert calls == ["eigh"] * 5
+    assert analysis.pair.dim == 2
+    np.testing.assert_allclose(np.sort(analysis.spectrum.ratios), [0.5 / 0.6, 0.8 / 0.3], rtol=1e-14)
 
 
 def test_real_pair_stays_real_and_matches_its_complex_image():
