@@ -14,10 +14,8 @@ from .adversary import (
     RateStatistics,
     evaluate_statistics,
     maximize_phase_error,
-    mediant_check,
     minimize_filter_success,
     mismatch_ratio_bounds,
-    optimize_unconstrained_bounds,
 )
 from .characterize import (
     ContinuousResponse,
@@ -49,7 +47,6 @@ from .filtering import (
     analyze_pair,
     compute_filter,
     noiseless_rate,
-    noiseless_rate_bruteforce,
     special_case_rate,
 )
 from .rates import (
@@ -92,14 +89,11 @@ __all__ = [
     "four_phase_rate",
     "load_pair",
     "maximize_phase_error",
-    "mediant_check",
     "minimize_filter_success",
     "mismatch_ratio_bounds",
     "mismatch_spectrum",
     "noiseless_rate",
-    "noiseless_rate_bruteforce",
     "noisy_rate",
-    "optimize_unconstrained_bounds",
     "read_response_csv",
     "read_spec_file",
     "sample_grid",

@@ -50,7 +50,6 @@ import contextvars
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 # SciPy loads a submodule the first time it is read as an attribute, so
@@ -63,7 +62,6 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     Infeasible,
-    NonPositiveInput,
     NumericalFailure,
     SingularDetector,
     ZeroDenominator,
@@ -639,41 +637,6 @@ def maximize_phase_error(
     upper bound on e_p, plus a witness state, as in `minimize_filter_success`.
     """
     return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "max_ep")
-
-
-def optimize_unconstrained_bounds(pair: DetectorPair, filter_c: VirtualFilterC) -> tuple[float, float]:
-    """Exact optima of the two bound objectives with no constraints.
-
-    Returns (min p_succ, sup e_p / e_p') over attack states: the first is the
-    generalized eigenvalue lambda_min(I4 x G, Zden); the second is
-    1 / min_i lambda_min(G, E_i), approached by states that put vanishing
-    weight on the x-error block, where e_p / e_p' factors into a ratio at most
-    1 (G <= E_i) times Xden / CC. Cross-validates `mismatch_ratio_bounds`.
-    """
-    if not pair.full_rank:
-        raise SingularDetector("bound optimization needs full-rank responses")
-    zden, _, _, _, cc, _ = _build_operators(pair, filter_c, symmetric=False)
-    p_min = scipy.linalg.eigh(cc, zden, eigvals_only=True)[0]
-    floor = min(
-        scipy.linalg.eigh(filter_c.gram, e.matrix, eigvals_only=True)[0] for e in (pair.e0, pair.e1)
-    )
-    return float(p_min), float(1.0 / floor)
-
-
-def mediant_check(a1, a2, b1, b2) -> bool:
-    """Check (a1/a2 >= b1/b2) implies (a1/a2 >= (a1+b1)/(a2+b2)), exactly.
-
-    Evaluated in rational arithmetic so floating-point rounding cannot
-    produce a spurious counterexample; holds for all positive inputs.
-    """
-    values = (a1, a2, b1, b2)
-    for v in values:
-        if not (isinstance(v, (int, float, Fraction)) and math.isfinite(float(v)) and v > 0):
-            raise NonPositiveInput(f"inputs must be finite positive reals, got {v!r}")
-    fa1, fa2, fb1, fb2 = (Fraction(v) for v in values)
-    premise = fa1 * fb2 >= fb1 * fa2
-    conclusion = fa1 * (fa2 + fb2) >= (fa1 + fb1) * fa2
-    return (not premise) or conclusion
 
 
 def __getattr__(name):

@@ -112,6 +112,10 @@ class ContinuousResponse:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 2 or t.shape != v.shape:
             raise ValueError("response needs matching 1-D arrays with >= 2 points")
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"response times must be finite, got {t[~np.isfinite(t)][0]}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"efficiencies must be finite, got {v[~np.isfinite(v)][0]}")
         if not np.all(np.diff(t) > 0):
             raise ValueError("response times must be strictly increasing")
         if v.min() < 0.0 or v.max() > 1.0:
@@ -205,8 +209,12 @@ def read_response_csv(path) -> ContinuousResponse:
                 continue
             if len(row) < 2:
                 raise ValueError(f"{path}:{lineno}: expected two columns")
-            times_ns.append(float(row[0]))
-            values.append(float(row[1]))
+            try:
+                t, v = float(row[0]), float(row[1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected two numbers, got {row[0]!r}, {row[1]!r}") from None
+            times_ns.append(t)
+            values.append(v)
     return ContinuousResponse(times_s=np.asarray(times_ns) * 1e-9, values=np.asarray(values))
 
 

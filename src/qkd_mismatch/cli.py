@@ -27,7 +27,7 @@ from .characterize import diagonal_only_response, discretize_response, read_resp
 from .detectors import DetectorPair, load_pair, read_spec_file, write_spec_file
 from .errors import QkdMismatchError
 from .filtering import Analysis, Knowledge, analyze_pair, compute_filter
-from .rates import RateMethod, binary_entropy, four_phase_rate, noisy_rate
+from .rates import RateMethod, four_phase_rate, noisy_rate
 from .timeshift import TimeShiftScenario, simulate_time_shift
 
 EXIT_OK = 0

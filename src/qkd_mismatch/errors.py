@@ -37,10 +37,6 @@ class Infeasible(QkdMismatchError):
     """No adversary state meets the observed-rate constraints."""
 
 
-class NonPositiveInput(QkdMismatchError):
-    """Input required to be a positive real number."""
-
-
 class DomainError(QkdMismatchError):
     """Scalar argument outside its mathematical domain."""
 

@@ -55,6 +55,20 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _report(p_succ: float, e_p: float, e_b: float, k_pa: float, k_ec: float, method: RateMethod) -> KeyRateReport:
+    raw = k_pa - k_ec
+    return KeyRateReport(
+        rate=max(0.0, raw),
+        rate_raw=raw,
+        p_succ=p_succ,
+        e_p=e_p,
+        e_b=e_b,
+        k_pa_fraction=k_pa,
+        k_ec_fraction=k_ec,
+        method=method,
+    )
+
+
 def _check_unit_interval(**kwargs) -> None:
     for name, value in kwargs.items():
         if not (0.0 <= value <= 1.0):
@@ -74,18 +88,7 @@ def noisy_rate(
     """
     _check_unit_interval(p_succ=p_succ, e_p=e_p, e_b=e_b)
     k_pa = p_succ * (1.0 - binary_entropy(min(e_p, 0.5)))
-    k_ec = binary_entropy(e_b)
-    raw = k_pa - k_ec
-    return KeyRateReport(
-        rate=max(0.0, raw),
-        rate_raw=raw,
-        p_succ=p_succ,
-        e_p=e_p,
-        e_b=e_b,
-        k_pa_fraction=k_pa,
-        k_ec_fraction=k_ec,
-        method=method,
-    )
+    return _report(p_succ, e_p, e_b, k_pa, binary_entropy(e_b), method)
 
 
 def four_phase_rate(e_b: float, e_p: float) -> KeyRateReport:
@@ -95,19 +98,7 @@ def four_phase_rate(e_b: float, e_p: float) -> KeyRateReport:
     and the result does not depend on the detector pair at all.
     """
     _check_unit_interval(e_b=e_b, e_p=e_p)
-    k_pa = 1.0 - binary_entropy(e_p)
-    k_ec = binary_entropy(e_b)
-    raw = k_pa - k_ec
-    return KeyRateReport(
-        rate=max(0.0, raw),
-        rate_raw=raw,
-        p_succ=1.0,
-        e_p=e_p,
-        e_b=e_b,
-        k_pa_fraction=k_pa,
-        k_ec_fraction=k_ec,
-        method=RateMethod.FOUR_PHASE,
-    )
+    return _report(1.0, e_p, e_b, 1.0 - binary_entropy(e_p), binary_entropy(e_b), RateMethod.FOUR_PHASE)
 
 
 def scalar_reference_rates(
@@ -136,27 +127,6 @@ def scalar_reference_rates(
     factor = 2.0 * min(eta0, eta1) / (eta0 + eta1)
     hp = binary_entropy(e_p)
     hb = binary_entropy(e_b)
-
-    disc_raw = factor * (1.0 - hp - hb)
-    discarding = KeyRateReport(
-        rate=max(0.0, disc_raw),
-        rate_raw=disc_raw,
-        p_succ=factor,
-        e_p=e_p,
-        e_b=e_b,
-        k_pa_fraction=factor * (1.0 - hp),
-        k_ec_fraction=factor * hb,
-        method=RateMethod.SCALAR_DISCARDING,
-    )
-    gen_raw = factor * (1.0 - hp) - hb
-    general = KeyRateReport(
-        rate=max(0.0, gen_raw),
-        rate_raw=gen_raw,
-        p_succ=factor,
-        e_p=e_p,
-        e_b=e_b,
-        k_pa_fraction=factor * (1.0 - hp),
-        k_ec_fraction=hb,
-        method=RateMethod.NOISY_OPTIMIZED,
-    )
+    discarding = _report(factor, e_p, e_b, factor * (1.0 - hp), factor * hb, RateMethod.SCALAR_DISCARDING)
+    general = _report(factor, e_p, e_b, factor * (1.0 - hp), hb, RateMethod.NOISY_OPTIMIZED)
     return discarding, general

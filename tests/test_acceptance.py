@@ -18,14 +18,11 @@ from qkd_mismatch import (
     four_phase_rate,
     load_pair,
     maximize_phase_error,
-    mediant_check,
     minimize_filter_success,
     mismatch_ratio_bounds,
     mismatch_spectrum,
     noiseless_rate,
-    noiseless_rate_bruteforce,
     noisy_rate,
-    optimize_unconstrained_bounds,
     scalar_reference_rates,
     simulate_time_shift,
     special_case_rate,
@@ -36,6 +33,7 @@ from qkd_mismatch.cli import main
 from qkd_mismatch.rates import RateMethod
 
 from conftest import DEMO_E0, DEMO_E1, random_efficiency, random_pair
+from oracles import mediant_check, noiseless_rate_bruteforce, optimize_unconstrained_bounds
 
 REPORTED_GRAM = np.array([[0.2745, -0.0195], [-0.0195, 0.3425]])
 

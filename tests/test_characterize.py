@@ -252,6 +252,11 @@ def test_response_validation():
         ContinuousResponse(times_s=np.array([0.0, 1.0]), values=np.array([0.2, 1.2]))
     with pytest.raises(ValueError):
         ContinuousResponse(times_s=np.array([1.0, 0.0]), values=np.array([0.2, 0.2]))
+    with pytest.raises(ValueError, match="efficiencies must be finite"):
+        ContinuousResponse(times_s=np.array([0.0, 1.0]), values=np.array([0.2, np.nan]))
+    for times in ([0.0, np.inf], [-np.inf, 1.0]):
+        with pytest.raises(ValueError, match="times must be finite"):
+            ContinuousResponse(times_s=np.array(times), values=np.array([0.2, 0.2]))
 
 
 def test_coverage_error():
@@ -285,3 +290,11 @@ def test_csv_requires_header(tmp_path):
     path.write_text("0.0,0.5\n1.0,0.5\n")
     with pytest.raises(ValueError):
         read_response_csv(path)
+
+
+def test_csv_names_the_line_of_a_cell_that_is_not_a_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("time_ns,efficiency\n0.0,0.5\n1.0,abc\n")
+    with pytest.raises(ValueError, match="'abc'") as excinfo:
+        read_response_csv(path)
+    assert str(excinfo.value).startswith(f"{path}:3: ")

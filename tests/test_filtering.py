@@ -12,13 +12,13 @@ from qkd_mismatch import (
     load_pair,
     mismatch_spectrum,
     noiseless_rate,
-    noiseless_rate_bruteforce,
     special_case_rate,
     swap_detectors,
 )
 from qkd_mismatch.errors import DomainError, SingularDetector
 
 from conftest import random_efficiency, random_pair
+from oracles import noiseless_rate_bruteforce
 
 # Gram matrix of the reported contraction [[0.51, -0.17], [0.12, 0.56]]
 # (the printed matrix is factor-convention dependent; its Gram is not).

@@ -2,8 +2,9 @@
 
 SciPy's submodules cost 0.15-0.2 s each to import, several times what a
 one-shot `analyze` computes, so a module-level import that no command path
-uses shows up as start-up time. One fresh interpreter runs the commands in
-turn and reports which submodules are loaded after each.
+uses shows up as start-up time. `fractions` (which loads `decimal`) serves
+only the test oracles, so no command may load it. One fresh interpreter runs
+the commands in turn and reports which of these modules are loaded after each.
 """
 
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import qkd_mismatch
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.special")
+HEAVY = ("scipy.linalg", "scipy.optimize", "scipy.special", "fractions")
 
 PROBE = """
 import contextlib, io, json, sys
@@ -65,3 +66,20 @@ def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
         "characterize": ["scipy.special"],
         "sweep-optimized": ["scipy.linalg", "scipy.special"],
     }
+
+
+def test_public_api_is_exactly_this_set():
+    # A new public name, or a re-export of a test oracle, is a decision: make it here.
+    assert sorted(qkd_mismatch.__all__) == [
+        "Analysis", "AttackOutcome", "ContinuousResponse", "DetectorPair", "DetectorSpecFile",
+        "EfficiencyResponse", "EveState", "FilteredGate", "KeyRateReport", "Knowledge",
+        "MismatchSpectrum", "NoiselessRate", "RateMethod", "RateStatistics", "TimeShiftScenario",
+        "VirtualFilterC", "ZeroRateReason", "analyze_pair", "binary_entropy", "compute_filter",
+        "deflate_common_nullspace", "diagonal_only_response", "discretize_response",
+        "evaluate_statistics", "four_phase_rate", "load_pair", "maximize_phase_error",
+        "minimize_filter_success", "mismatch_ratio_bounds", "mismatch_spectrum", "noiseless_rate",
+        "noisy_rate", "read_response_csv", "read_spec_file", "sample_grid", "scalar_reference_rates",
+        "simulate_time_shift", "special_case_rate", "swap_detectors", "write_response_csv",
+        "write_spec_file",
+    ]
+    assert all(hasattr(qkd_mismatch, name) for name in qkd_mismatch.__all__)
