@@ -31,8 +31,10 @@ upper bound, however accurate the search. The search is nested, and both
 levels use slopes: g(y1) = min_y2 lambda_max(B + y1 A1 + y2 A2) is convex,
 with subgradient Tr(R A1) for a state R on the top eigenspace at the inner
 minimizer with Tr(R A2) = 0 (Overton, SIAM J. Matrix Anal. Appl. 1988; Lewis
-and Overton, Acta Numerica 1996). Along a `sweep` grid each search starts
-from the multipliers the previous grid point ended on. A zero target is handled exactly,
+and Overton, Acta Numerica 1996). R mixes the top eigenvectors at the two
+ends of the inner search's final bracket, so the outer search runs no
+eigensolve of its own. Along a `sweep` grid each search starts from the
+multipliers the previous grid point ended on. A zero target is handled exactly,
 with no multiplier: e_b = 0 confines rho to span{e1, e4} x C^d and e_p' = 0
 to span{e1, e2} x C^d, so at e_b = e_p' = 0 the bound is the closed-form
 noiseless p_succ = lambda_min(2G, E0 + E1) and e_p = 0. The witness state is
@@ -83,15 +85,6 @@ MULTIPLIER_CAP = 1e6
 # on slopes, witnesses on 38 random pairs up to d = 32 meet the rates within
 # 8e-8.
 TOP_CLUSTER_TOL = 1e-4
-# The outer search's slope treats the eigenvalues within SLOPE_CLUSTER_TOL *
-# ||matrix||_F of the top as one eigenspace. An avoided crossing wider than
-# that is smooth, and its gradient comes from the top eigenvector alone;
-# mixing in the one below gives a slope that disagrees with the values, and
-# the search then stops above the minimum (by 2e-11 at 1e-9 on a d = 1 pair;
-# 1e-4, the witness's tolerance, fails tier-1 tests). So it sits a few orders
-# above rounding: a true crossing at an inner root found to 1e-14 still counts.
-SLOPE_CLUSTER_TOL = 1e-11
-
 
 def _projector_half(v) -> np.ndarray:
     vec = np.asarray(v, dtype=float)
@@ -305,19 +298,25 @@ def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), z[:, 0]
 
 
-def _top_eigen_slope(base: np.ndarray, direction: np.ndarray):
-    """t -> (lambda_max(base + t direction), u^dag direction u), u a top
-    eigenvector: the value and a subgradient, even where eigenvalues cross."""
+def _quadratic_form(direction: np.ndarray):
+    """u -> u^dag direction u for a Hermitian `direction`."""
 
     # SciPy's BLAS, like the eigensolver: NumPy may link a separate BLAS, and
     # alternating between the two libraries' thread pools made a complex
     # d = 16 solve about 12x slower with default threading.
     blas = scipy.linalg.blas
     hemv, dot = (blas.zhemv, blas.zdotc) if direction.dtype.kind == "c" else (blas.dsymv, blas.ddot)
+    return lambda u: dot(u, hemv(1.0, direction, u, lower=1)).real
+
+
+def _top_eigen_slope(base: np.ndarray, direction: np.ndarray):
+    """t -> (lambda_max(base + t direction), u^dag direction u, u), u a top
+    eigenvector: the value and a subgradient, even where eigenvalues cross."""
+    slope = _quadratic_form(direction)
 
     def fun(t):
         w, u = _top_eigenpair(base + t * direction)
-        return w, dot(u, hemv(1.0, direction, u, lower=1)).real
+        return w, slope(u), u
 
     return fun
 
@@ -330,7 +329,7 @@ def _model_step(lo, lo_prev, hi, hi_prev) -> float:
     def curvature(p, prev):
         return 0.0 if prev is None else max((p[2] - prev[2]) / (p[0] - prev[0]), 0.0)
 
-    (ta, fa, ga), (tb, fb, gb) = lo, hi
+    (ta, fa, ga, *_), (tb, fb, gb, *_) = lo, hi
     ca, cb, w = curvature(lo, lo_prev), curvature(hi, hi_prev), tb - ta
     # In s = t - ta: the models cross where a s^2 + b s + c = 0.
     a, b, c = (ca - cb) / 2, ga - gb + cb * w, fa - fb + gb * w - cb * w * w / 2
@@ -349,9 +348,12 @@ def _model_step(lo, lo_prev, hi, hi_prev) -> float:
     return ta + min(inside, key=larger_model) if inside else math.nan
 
 
-def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float, float]:
+def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float, float, tuple]:
     """Minimizer t of a convex function on [-MULTIPLIER_CAP, MULTIPLIER_CAP],
-    and its value; `fun(t)` returns (value, subgradient).
+    its value, and the points the search ended on; `fun(t)` returns (value,
+    subgradient, ...), and each point is (t, *fun(t)). The points are the
+    final bracket's ends (negative slope, positive slope), or one point with a
+    zero slope or at the cap.
 
     The bracket grows geometrically downhill from `start`, a guess such as
     the previous root, until the slope changes sign. Inside it each step goes
@@ -359,16 +361,17 @@ def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float,
     at the side's end, curved by the slope change since that side's previous
     point. This is exact where two straight branches cross, the usual case
     at an eigenvalue crossing, and superlinear where the function is smooth.
-    The gap between the best value and the tangents' lower bound measures
-    progress: a bisection follows whenever two steps fail to halve it (a
-    bracket rule would bisect every third step while a smooth minimum is
-    approached from one side). The search ends when the bracket is narrower
-    than 1e-14 (relative) or the gap is gone (rounding makes it <= 0), so the
-    value is the minimum to rounding even at a kink, where a search on values
-    alone stops a square root of rounding away. Stopping at a gap of rounding
-    size would leave a smooth minimum's slope at a square root of rounding
-    (1e-8): the outer dual search reads its slope at the inner root, which
-    such an error shifts at first order.
+    The gap between the best value and the floor where the two tangents meet
+    measures progress: a bisection follows whenever two steps fail to halve
+    it (a bracket rule would bisect every third step while a smooth minimum
+    is approached from one side). The search ends when the bracket is
+    narrower than 1e-14 (relative) or the gap is gone (rounding makes it
+    <= 0), so the value is the minimum to rounding even at a kink, where a
+    search on values alone stops a square root of rounding away. When both
+    ends lie at or below the floor, rounding orders their values, and the
+    end with the flatter slope is returned: it is the nearer to a smooth
+    minimum, whose witness would otherwise miss the rates by the bracket's
+    width times the curvature.
     """
 
     def probe(t):
@@ -376,65 +379,72 @@ def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float,
 
     first = probe(start)
     if first[2] == 0.0:
-        return first[:2]
+        return first[0], first[1], (first,)
     sign = -math.copysign(1.0, first[2])
     limit = MULTIPLIER_CAP - sign * start  # distance downhill to the cap
     near, near_prev, dist = first, None, min(step, limit)
     while (far := probe(start + sign * dist if dist < limit else sign * MULTIPLIER_CAP))[2] * first[2] > 0.0:
         if dist >= limit:
-            return far[:2]
+            return far[0], far[1], (far,)
         near, near_prev, dist = far, near, min(2.0 * dist, limit)
     if far[2] == 0.0:
-        return far[:2]
+        return far[0], far[1], (far,)
     # lo has a negative slope, hi a positive one; *_prev is the point before on that side.
     (lo, lo_prev), (hi, hi_prev) = ((near, near_prev), (far, None)) if sign > 0 else ((far, None), (near, near_prev))
     gaps = []
     while True:
-        (ta, fa, ga), (tb, fb, gb) = lo, hi
-        best = lo if fa <= fb else hi
+        (ta, fa, ga, *_), (tb, fb, gb, *_) = lo, hi
         # By convexity both tangents lie below the function; they meet at its lowest possible value.
-        gaps.append(best[1] - (fa + ga * (fb - fa + gb * (ta - tb)) / (ga - gb)))
+        floor = fa + ga * (fb - fa + gb * (ta - tb)) / (ga - gb)
+        gaps.append(min(fa, fb) - floor)
         if tb - ta <= 1e-14 * max(1.0, abs(ta), abs(tb)) or gaps[-1] <= 0.0:
-            return best[:2]
+            if max(fa, fb) <= floor:
+                best = lo if -ga <= gb else hi
+            else:
+                best = lo if fa <= fb else hi
+            return best[0], best[1], (lo, hi)
         t = _model_step(lo, lo_prev, hi, hi_prev)
         if not ta < t < tb or len(gaps) > 2 and gaps[-1] > gaps[-3] / 2:
             t = ta + (tb - ta) / 2
         p = probe(t)
         if p[2] == 0.0:
-            return p[:2]
+            return p[0], p[1], (p,)
         if p[2] < 0.0:
             lo, lo_prev = p, lo
         else:
             hi, hi_prev = p, hi
 
 
-def _constrained_slope(matrix: np.ndarray, value: float, first: np.ndarray, second: np.ndarray) -> float:
-    """Tr(R first) for a state R on the top eigenspace of `matrix` (top
-    eigenvalue `value`) with Tr(R second) = 0, or as near to it as that
-    eigenspace allows: a subgradient of y1 -> min_y2 lambda_max(. + y1 first
-    + y2 second) where y2 is the inner minimizer.
+def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, start: float = 0.0, step: float = 1.0):
+    """t -> (g(t), a subgradient of g at t, the inner minimizer) for the
+    partial minimum g(t) = min_s lambda_max(base + t first + s second).
 
-    The eigenspace is spanned by the eigenvectors within SLOPE_CLUSTER_TOL *
-    ||matrix||_F of the top (LAPACK computes only those). A simple top
-    eigenvalue gives u^dag first u; otherwise R mixes the bottom and top
-    eigenvectors of `second` compressed onto the eigenspace.
+    The subgradient comes off the inner search's final bracket, whose ends
+    have inner slopes g_lo < 0 < g_hi and top eigenvectors u_lo, u_hi: with
+    w = g_hi / (g_hi - g_lo), the state R = w u_lo u_lo^dag + (1 - w) u_hi
+    u_hi^dag has Tr(R second) = 0, so Tr(R first) is a subgradient of g
+    (Lewis and Overton 1996). An inner search that ends on one point gives
+    u^dag first u. No eigensolve runs beyond the inner search's. Each inner
+    search starts from the previous inner root (first from `start`), with a
+    first step as long as the last move of that root (floored well above the
+    search's tolerance, and kept when the root did not move), since
+    successive roots move less and less.
     """
-    width = SLOPE_CLUSTER_TOL * np.linalg.norm(matrix)
-    evr = scipy.linalg.lapack.zheevr if matrix.dtype.kind == "c" else scipy.linalg.lapack.dsyevr
-    w, z, found, _, info = evr(matrix, range="V", vl=value - width, vu=value + width, lower=1)
-    if info != 0:
-        raise NumericalFailure(f"LAPACK eigensolver failed on a {len(matrix)}x{len(matrix)} matrix (info {info})")
-    if found == 0:  # LAPACK's bisection can miss a tight cluster, as in _top_eigenpair
-        w, z = np.linalg.eigh(matrix)
-        top = z[:, w >= w[-1] - width]
-    else:
-        top = z[:, :found]
-    if top.shape[1] > 1:
-        s, x = np.linalg.eigh(top.conj().T @ second @ top)
-        span = s[-1] - s[0]
-        weight = 1.0 if span == 0.0 else min(max(s[-1] / span, 0.0), 1.0)  # on the bottom vector
-        top = top @ (x[:, [0, -1]] * np.sqrt([weight, 1.0 - weight]))
-    return float(np.einsum("ik,ij,jk->", top.conj(), first, top).real)
+    slope = _quadratic_form(first)
+    last, moved = start, step
+
+    def fun(t):
+        nonlocal last, moved
+        root, value, ends = _argmin_by_slope(_top_eigen_slope(base + t * first, second), last, moved)
+        if root != last:
+            last, moved = root, max(abs(root - last), 1e-12)
+        if len(ends) == 1:
+            return value, slope(ends[0][3]), root
+        (_, _, g_lo, u_lo), (_, _, g_hi, u_hi) = ends
+        w = g_hi / (g_hi - g_lo)
+        return value, w * slope(u_lo) + (1.0 - w) * slope(u_hi), root
+
+    return fun
 
 
 def _minimize_top_eigenvalue(base: np.ndarray, directions: list, start=None) -> list:
@@ -444,34 +454,18 @@ def _minimize_top_eigenvalue(base: np.ndarray, directions: list, start=None) -> 
 
     The function is convex, and so is its partial minimum g(y1) over the last
     multiplier, so a search over y1 of the minimum over y2 reaches the joint
-    minimum. Both searches are `_argmin_by_slope`: the outer one reads g's
-    slope off the top eigenspace at the inner root (`_constrained_slope`),
-    so it ends on its own bracket and tangent-gap rules and knows the inner
-    root that belongs to its best y1; no search runs after it. Each inner
-    search starts from the previous inner root, with a first step as long as
-    the last move of that root (floored well above the search's tolerance,
-    and kept when the root did not move), since successive roots move less
-    and less. A sweep starts from the previous grid point's multipliers, with
+    minimum. Both searches are `_argmin_by_slope`; the outer one reads g's
+    slope off each inner search's final bracket (`_partial_minimum`), so it
+    runs no eigensolve of its own. It ends on its own bracket and tangent-gap
+    rules, and its end points carry their inner roots, so no search runs
+    after it. A sweep starts from the previous grid point's multipliers, with
     first steps as long as their move from the point before.
     """
     start, steps = start or ([0.0] * len(directions), [1.0] * len(directions))
     if len(directions) < 2:
         return [_argmin_by_slope(_top_eigen_slope(base, d), y, h)[0] for d, y, h in zip(directions, start, steps)]
-    first, second = directions
-    last, moved = start[1], steps[1]
-    roots = {}
-
-    def partial(t):
-        nonlocal last, moved
-        m = base + t * first
-        root, value = _argmin_by_slope(_top_eigen_slope(m, second), last, moved)
-        if root != last:
-            last, moved = root, max(abs(root - last), 1e-12)
-        roots[t] = root
-        return value, _constrained_slope(m + root * second, value, first, second)
-
-    t = _argmin_by_slope(partial, start[0], steps[0])[0]
-    return [t, roots[t]]
+    t, _, ends = _argmin_by_slope(_partial_minimum(base, *directions, start[1], steps[1]), start[0], steps[0])
+    return [t, next(p[3] for p in ends if p[0] == t)]
 
 
 def _nearest_mixture(points: list) -> tuple[list, complex]:

@@ -30,11 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy  # `scipy.special` loads on first use: only `characterize` calls it
 
-from . import linalg
-from .detectors import EfficiencyResponse, _checked_response, _hermitian, validate_efficiency
-from .errors import CoverageError, InvalidGate, NonPhysical
+from .detectors import EfficiencyResponse, validate_efficiency
+from .errors import CoverageError, InvalidGate
 
-CLIP_BUDGET = 1e-6
 # Response-table knots per block of the smoothing sum: at d = 64 a block's
 # arrays take about 1 MB each, whatever the length of the table.
 _KNOTS_PER_BLOCK = 1024
@@ -156,18 +154,6 @@ def _gaussian_smoothed(resp: ContinuousResponse, m: np.ndarray, h: float) -> np.
     return resp(m) + h * total
 
 
-def _clip_into_physical(matrix: np.ndarray) -> EfficiencyResponse:
-    m = 0.5 * (matrix + matrix.conj().T)
-    w, v = np.linalg.eigh(m)
-    clip = max(0.0, float(-w.min()), float(w.max() - 1.0))
-    if clip > CLIP_BUDGET:
-        raise NonPhysical(f"discretized response needs clipping by {clip:.3e} to fit [0, I]")
-    w = np.clip(w, 0.0, 1.0)
-    # The clipped eigenvalues lie in [0, 1]; rebuilding moves them only by rounding.
-    clipped = _hermitian((v * w[np.newaxis, :]) @ v.conj().T)
-    return _checked_response(clipped, w, max(1.0, linalg.frobenius(clipped)))
-
-
 def discretize_response(resp: ContinuousResponse, gate: FilteredGate) -> EfficiencyResponse:
     """Full d x d efficiency matrix of eta(t) on the gate's pulse grid."""
     _require_coverage(resp, gate)
@@ -176,7 +162,7 @@ def discretize_response(resp: ContinuousResponse, gate: FilteredGate) -> Efficie
     half_grid = gate.sample_times_s[0] + 0.5 * gate.spacing_s * np.arange(2 * gate.d - 1)
     smoothed = _gaussian_smoothed(resp, half_grid, gate.pulse_sigma_s / np.sqrt(2.0))
     index = np.add.outer(np.arange(gate.d), np.arange(gate.d))
-    return _clip_into_physical(inv_root @ (overlap * smoothed[index]) @ inv_root)
+    return validate_efficiency(inv_root @ (overlap * smoothed[index]) @ inv_root)
 
 
 def diagonal_only_response(resp: ContinuousResponse, gate: FilteredGate) -> EfficiencyResponse:
@@ -215,7 +201,10 @@ def read_response_csv(path) -> ContinuousResponse:
                 raise ValueError(f"{path}:{lineno}: expected two numbers, got {row[0]!r}, {row[1]!r}") from None
             times_ns.append(t)
             values.append(v)
-    return ContinuousResponse(times_s=np.asarray(times_ns) * 1e-9, values=np.asarray(values))
+    try:
+        return ContinuousResponse(times_s=np.asarray(times_ns) * 1e-9, values=np.asarray(values))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_response_csv(path, times_ns, values) -> None:

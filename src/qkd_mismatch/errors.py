@@ -49,9 +49,5 @@ class CoverageError(QkdMismatchError):
     """Tabulated response does not cover the requested gate window."""
 
 
-class NonPhysical(QkdMismatchError):
-    """Discretized response needed more than negligible clipping into [0, I]."""
-
-
 class DegenerateScenario(QkdMismatchError):
     """Attack strategy selects a sample where both detectors are blind."""

@@ -13,8 +13,8 @@ from qkd_mismatch import (
     sample_grid,
     write_response_csv,
 )
-from qkd_mismatch.characterize import _KNOTS_PER_BLOCK, _clip_into_physical, _gaussian_smoothed
-from qkd_mismatch.errors import CoverageError, InvalidGate, NonPhysical
+from qkd_mismatch.characterize import _KNOTS_PER_BLOCK, _gaussian_smoothed
+from qkd_mismatch.errors import CoverageError, InvalidGate
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -268,11 +268,24 @@ def test_coverage_error():
         diagonal_only_response(short, gate)
 
 
-def test_clip_guard_rejects_unphysical():
-    with pytest.raises(NonPhysical):
-        _clip_into_physical(np.diag([1.01, 0.5]))
-    fixed = _clip_into_physical(np.diag([1.0 + 1e-9, 0.5])).matrix
-    assert np.linalg.eigvalsh(fixed).max() <= 1.0
+def test_extreme_tables_discretize_inside_the_window():
+    # The closed-form E = T^(-1/2) (T o S) T^(-1/2) stays in [0, I] to rounding
+    # (T is well conditioned at every bandwidth), so it is returned as computed.
+    square_t = np.linspace(-1e-9, 3e-9, 401)
+    random_t = np.linspace(-1e-9, 3e-9, 200_000)
+    all_bandwidths = (0.5, 1, 7.75, 15.75)
+    tables = {
+        "square-wave": (square_t, (np.arange(square_t.size) // 20 % 2).astype(float), all_bandwidths),
+        "all-ones": (np.array([-1e-9, 3e-9]), np.ones(2), all_bandwidths),
+        "step": (np.array([-1e-9, 1e-9 - 1e-15, 1e-9, 3e-9]), np.array([0.0, 0.0, 1.0, 1.0]), all_bandwidths),
+        "random-200k": (random_t, np.random.default_rng(7).integers(0, 2, random_t.size).astype(float), (1,)),
+    }
+    for name, (t, v, bandwidths_ghz) in tables.items():
+        resp = ContinuousResponse(times_s=t, values=v)
+        for bandwidth in bandwidths_ghz:
+            e = discretize_response(resp, sample_grid(bandwidth * 1e9, 0.0, 2e-9))
+            w = np.linalg.eigvalsh(e.matrix)
+            assert -1e-13 <= w.min() and w.max() <= 1.0 + 1e-13, (name, bandwidth)
 
 
 def test_csv_roundtrip(tmp_path):
@@ -290,6 +303,23 @@ def test_csv_requires_header(tmp_path):
     path.write_text("0.0,0.5\n1.0,0.5\n")
     with pytest.raises(ValueError):
         read_response_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0.0,0.5\n1.0,1.5\n", "efficiencies must lie in [0, 1], got [0.5, 1.5]"),
+        ("0.0,0.5\n1.0,nan\n", "efficiencies must be finite, got nan"),
+        ("1.0,0.5\n0.0,0.5\n", "response times must be strictly increasing"),
+    ],
+    ids=["range", "nan", "order"],
+)
+def test_csv_names_the_file_of_a_bad_table(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("time_ns,efficiency\n" + body)
+    with pytest.raises(ValueError) as excinfo:
+        read_response_csv(path)
+    assert str(excinfo.value) == f"{path}: {message}"
 
 
 def test_csv_names_the_line_of_a_cell_that_is_not_a_number(tmp_path):

@@ -345,6 +345,15 @@ def test_characterize_coverage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_characterize_error_names_the_bad_csv(tmp_path, capsys):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_response_csv(good, [-1.0, 3.0], [0.5, 0.5])
+    write_response_csv(bad, [-1.0, 3.0], [0.5, 1.5])
+    code, _, err = run_cli(capsys, "characterize", str(good), str(bad), "--bandwidth-ghz", "1", "--gate-ns", "0:2")
+    assert code == 1
+    assert err == f"error: {bad}: efficiencies must lie in [0, 1], got [0.5, 1.5]\n"
+
+
 def test_attack_report_and_json_agree(tmp_path, capsys):
     path = tmp_path / "diag.json"
     write_spec_file(path, np.diag([0.8, 0.5]), np.diag([0.2, 0.5]))
@@ -390,8 +399,8 @@ def test_shipped_demo_data_pipeline(tmp_path, capsys):
 
 
 def test_characterize_runs_one_eigensolve_per_matrix(tmp_path, capsys, monkeypatch):
-    # One for the gate's pulse overlap, one to clip each response into [0, I]
-    # (its eigenvalues validate the response), one to factor each detector.
+    # One eigh for the gate's pulse overlap, one eigvalsh to validate each
+    # response, one eigh to factor each detector.
     calls = []
 
     def counted(fn):
@@ -411,7 +420,7 @@ def test_characterize_runs_one_eigensolve_per_matrix(tmp_path, capsys, monkeypat
             "--bandwidth-ghz", bandwidth, "--gate-ns", "0:2", "--out", str(tmp_path / "spec.json"), "--json",
         )
         assert code == 0
-        assert calls == ["eigh"] * 5
+        assert calls == ["eigh", "eigvalsh", "eigvalsh", "eigh", "eigh"]
 
 
 def test_attack_mixed_shift_parsing(tmp_path, capsys):
