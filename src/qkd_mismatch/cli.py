@@ -220,10 +220,8 @@ def cmd_characterize(args) -> int:
         raise QkdMismatchError(f"--bandwidth-ghz must be finite, got {args.bandwidth_ghz}")
     gate = sample_grid(args.bandwidth_ghz * 1e9, start_ns * 1e-9, end_ns * 1e-9)
     build = diagonal_only_response if args.diagonal_only else discretize_response
-    responses = []
-    for path in (args.csv0, args.csv1):
-        responses.append(build(read_response_csv(path), gate))
-    pair = load_pair(responses[0].matrix, responses[1].matrix)
+    # load_pair reuses the eigensystem each response was validated from.
+    pair = load_pair(*(build(read_response_csv(path), gate) for path in (args.csv0, args.csv1)))
 
     if args.out:
         write_spec_file(args.out, pair.e0.matrix, pair.e1.matrix, args.label0, args.label1)
@@ -371,7 +369,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except (QkdMismatchError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (QkdMismatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

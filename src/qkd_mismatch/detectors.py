@@ -28,9 +28,11 @@ NULLSPACE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EfficiencyResponse:
-    """Validated d x d efficiency matrix E with 0 <= E <= I."""
+    """Validated d x d efficiency matrix E with 0 <= E <= I, and the
+    eigensystem it was validated from."""
 
     matrix: np.ndarray
+    eig: linalg.HermitianEigenSystem
 
     @property
     def dim(self) -> int:
@@ -41,49 +43,42 @@ class EfficiencyResponse:
         """Per-sample efficiencies (real diagonal of E)."""
         return self.matrix.diagonal().real.copy()
 
+    @property
+    def scale(self) -> float:
+        """max(1, ||E||_F), the scale of the relative tolerances on E."""
+        return max(1.0, linalg.frobenius(self.matrix))
 
-def _hermitian(raw) -> np.ndarray:
+
+def validate_efficiency(raw) -> EfficiencyResponse:
+    """Check Hermiticity and the spectrum window [0, 1] to within
+    PSD_RTOL * max(1, ||E||_F); return the response with its eigensystem."""
     try:
-        return linalg.require_hermitian(raw)
+        m = linalg.require_hermitian(raw)
     except NotHermitian as exc:
         raise InvalidEfficiency(str(exc)) from exc
-
-
-def _checked_response(m: np.ndarray, w: np.ndarray, scale: float) -> EfficiencyResponse:
-    """Response for Hermitian `m` with eigenvalues `w`, if they lie in [0, 1]
-    to within PSD_RTOL * scale, where scale = max(1, ||m||_F)."""
-    tol = linalg.PSD_RTOL * scale
+    m.setflags(write=False)
+    e = EfficiencyResponse(matrix=m, eig=linalg.hermitian_eig(m))
+    w, tol = e.eig.eigenvalues, linalg.PSD_RTOL * e.scale
     if w.min() < -tol or w.max() > 1.0 + tol:
         raise InvalidEfficiency(
             f"efficiency eigenvalues [{w.min():.6g}, {w.max():.6g}] outside [0, 1]"
         )
-    m = m.copy()
-    m.setflags(write=False)
-    return EfficiencyResponse(matrix=m)
+    return e
 
 
-def validate_efficiency(raw) -> EfficiencyResponse:
-    """Check Hermiticity and the spectrum window [0, 1]; return the response."""
-    m = _hermitian(raw)
-    return _checked_response(m, np.linalg.eigvalsh(m), max(1.0, linalg.frobenius(m)))
-
-
-def _above_rank_cutoff(e: EfficiencyResponse, eig: linalg.HermitianEigenSystem) -> np.ndarray:
+def _above_rank_cutoff(e: EfficiencyResponse) -> np.ndarray:
     """Mask of the eigenvalues of `e` that count as nonzero."""
-    return eig.eigenvalues > RANK_RTOL * max(1.0, linalg.frobenius(e.matrix))
+    return e.eig.eigenvalues > RANK_RTOL * e.scale
 
 
 @dataclass(frozen=True)
 class DetectorPair:
-    """Responses of both detectors, their principal-square-root factors and
-    the eigensystems both were computed from."""
+    """Responses of both detectors and their principal-square-root factors."""
 
     e0: EfficiencyResponse
     e1: EfficiencyResponse
     f0: np.ndarray
     f1: np.ndarray
-    eig0: linalg.HermitianEigenSystem
-    eig1: linalg.HermitianEigenSystem
 
     @property
     def dim(self) -> int:
@@ -91,11 +86,11 @@ class DetectorPair:
 
     @functools.cached_property
     def full_rank0(self) -> bool:
-        return bool(_above_rank_cutoff(self.e0, self.eig0).all())
+        return bool(_above_rank_cutoff(self.e0).all())
 
     @functools.cached_property
     def full_rank1(self) -> bool:
-        return bool(_above_rank_cutoff(self.e1, self.eig1).all())
+        return bool(_above_rank_cutoff(self.e1).all())
 
     @property
     def full_rank(self) -> bool:
@@ -113,29 +108,28 @@ class MismatchSpectrum:
     basis: np.ndarray
 
 
-def _factor(raw) -> tuple[EfficiencyResponse, np.ndarray, linalg.HermitianEigenSystem]:
-    """Validated response, principal square root and eigensystem of one raw
-    matrix, all from a single eigendecomposition."""
-    m = _hermitian(raw)
-    eig = linalg.hermitian_eig(m)
-    scale = max(1.0, linalg.frobenius(m))
-    response = _checked_response(m, eig.eigenvalues, scale)
-    f = linalg.sqrt_from_eig(eig, linalg.PSD_RTOL * scale)
+def _factor(e) -> tuple[EfficiencyResponse, np.ndarray]:
+    """Validated response and principal square root of a raw matrix or an
+    EfficiencyResponse, from the response's one eigendecomposition."""
+    if not isinstance(e, EfficiencyResponse):
+        e = validate_efficiency(e)
+    f = linalg.sqrt_from_eig(e.eig, linalg.PSD_RTOL * e.scale)
     f.setflags(write=False)
-    return response, f, eig
+    return e, f
 
 
 def load_pair(e0_raw, e1_raw) -> DetectorPair:
-    """Validate two raw efficiency matrices and factor them."""
-    (e0, f0, eig0), (e1, f1, eig1) = _factor(e0_raw), _factor(e1_raw)
+    """Validate two efficiency matrices and factor them. Either may already
+    be an EfficiencyResponse, whose eigensystem is then reused."""
+    (e0, f0), (e1, f1) = _factor(e0_raw), _factor(e1_raw)
     if e0.dim != e1.dim:
         raise DimensionMismatch(f"detector dimensions differ: {e0.dim} vs {e1.dim}")
-    return DetectorPair(e0=e0, e1=e1, f0=f0, f1=f1, eig0=eig0, eig1=eig1)
+    return DetectorPair(e0=e0, e1=e1, f0=f0, f1=f1)
 
 
 def swap_detectors(pair: DetectorPair) -> DetectorPair:
     """Exchange the roles of the bit-0 and bit-1 detectors."""
-    return DetectorPair(e0=pair.e1, e1=pair.e0, f0=pair.f1, f1=pair.f0, eig0=pair.eig1, eig1=pair.eig0)
+    return DetectorPair(e0=pair.e1, e1=pair.e0, f0=pair.f1, f1=pair.f0)
 
 
 def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
@@ -154,14 +148,11 @@ def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
     return MismatchSpectrum(ratios=ratios, basis=basis)
 
 
-def _nullspace_projector(
-    e: EfficiencyResponse, eig: linalg.HermitianEigenSystem
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (null projector, range basis columns) of `e`, whose eigensystem
-    is `eig`, at the rank cutoff."""
-    keep = _above_rank_cutoff(e, eig)
-    v_range = eig.eigenvectors[:, keep]
-    v_null = eig.eigenvectors[:, ~keep]
+def _nullspace_projector(e: EfficiencyResponse) -> tuple[np.ndarray, np.ndarray]:
+    """Return (null projector, range basis columns) of `e` at the rank cutoff."""
+    keep = _above_rank_cutoff(e)
+    v_range = e.eig.eigenvectors[:, keep]
+    v_null = e.eig.eigenvectors[:, ~keep]
     return v_null @ v_null.conj().T, v_range
 
 
@@ -176,8 +167,8 @@ def deflate_common_nullspace(pair: DetectorPair) -> DetectorPair:
         return pair
     if pair.full_rank0 != pair.full_rank1:
         raise SingularDetector("nullspaces differ: only one detector is singular")
-    p0, v_range = _nullspace_projector(pair.e0, pair.eig0)
-    p1, _ = _nullspace_projector(pair.e1, pair.eig1)
+    p0, v_range = _nullspace_projector(pair.e0)
+    p1, _ = _nullspace_projector(pair.e1)
     if linalg.frobenius(p0 - p1) > NULLSPACE_TOL:
         raise SingularDetector("detectors are singular with different nullspaces")
     if v_range.shape[1] == 0:
@@ -233,19 +224,39 @@ def _rows_json(m: np.ndarray) -> str:
     return ",\n    ".join("[[" + "], [".join(row) + "]]" for row in entries.tolist())
 
 
+def _shown(value) -> str:
+    """A parsed JSON value for an error message: a scalar as JSON, an array
+    or object by its type (it may nest too deeply for the encoder)."""
+    return type(value).__name__ if isinstance(value, (list, dict)) else json.dumps(value)
+
+
+def _label(doc: dict, key: str, default: str) -> str:
+    label = doc.get(key, default)
+    if type(label) is not str:
+        raise ValueError(f"detector spec {key} must be a string, got {_shown(label)}")
+    return label
+
+
 def read_spec_file(path) -> DetectorSpecFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError as exc:
-            raise ValueError("detector spec nests arrays or objects too deeply") from exc
+    # Imported on first use: it pulls in `uuid` and `zoneinfo`, and commands
+    # that read no spec (`characterize`) should not pay for them at start-up.
+    import orjson
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # Strict RFC 8259: NaN / Infinity literals and numbers too large for
+        # a double do not parse. Deeply nested arrays do, and fail the checks below.
+        doc = orjson.loads(data)
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"detector spec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"detector spec must be a JSON object, got {type(doc).__name__}")
     try:
         dim = doc["dimension"]
-        # A JSON integer: bool is an int subclass, and 1.9 or 1e400 are floats.
+        # A JSON integer: bool is an int subclass, and 1.9 or 1e300 are floats.
         if type(dim) is not int or dim < 1:
-            raise ValueError(f"detector spec dimension must be an integer >= 1, got {json.dumps(dim)}")
+            raise ValueError(f"detector spec dimension must be an integer >= 1, got {_shown(dim)}")
         e0 = _matrix_from_pairs(doc["E0"], dim, "E0")
         e1 = _matrix_from_pairs(doc["E1"], dim, "E1")
     except KeyError as exc:
@@ -253,8 +264,8 @@ def read_spec_file(path) -> DetectorSpecFile:
     return DetectorSpecFile(
         e0_raw=e0,
         e1_raw=e1,
-        label0=str(doc.get("label0", "detector0")),
-        label1=str(doc.get("label1", "detector1")),
+        label0=_label(doc, "label0", "detector0"),
+        label1=_label(doc, "label1", "detector1"),
     )
 
 

@@ -176,23 +176,95 @@ _ONE_DIM_SPEC = '{{"dimension": {}, "E0": [[[{}, 0.0]]], "E1": [[[0.5, 0.0]]]}}'
         ("[]", "must be a JSON object, got list"),
         ('"E0"', "must be a JSON object, got str"),
         (_ONE_DIM_SPEC.format("null", 0.5), "integer >= 1, got null"),
-        (_ONE_DIM_SPEC.format("1e400", 0.5), "integer >= 1, got Infinity"),
+        (_ONE_DIM_SPEC.format("1e400", 0.5), "not valid JSON: number is infinity when parsed as double"),
         (_ONE_DIM_SPEC.format("1.9", 0.5), "integer >= 1, got 1.9"),
         (_ONE_DIM_SPEC.format("true", 0.5), "integer >= 1, got true"),
         (_ONE_DIM_SPEC.format('"1"', 0.5), 'integer >= 1, got "1"'),
         (_ONE_DIM_SPEC.format("0", 0.5), "integer >= 1, got 0"),
         (_ONE_DIM_SPEC.format("1", '{"re": 0.5}'), "E0: entries must be [re, im] pairs of numbers"),
-        (_ONE_DIM_SPEC.format("1", "1" + "0" * 400), "E0: entries must be [re, im] pairs of numbers"),
-        ("[" * 100_000 + "]" * 100_000, "nests arrays or objects too deeply"),
+        (_ONE_DIM_SPEC.format("1", "1" + "0" * 400), "not valid JSON: number is infinity when parsed as double"),
+        ("[" * 100_000 + "]" * 100_000, "must be a JSON object, got list"),
+        (_ONE_DIM_SPEC.format("1", "[" * 100_000 + "]" * 100_000), "E0: entries must be [re, im] pairs of numbers"),
+        (_ONE_DIM_SPEC.format("[" * 100_000 + "]" * 100_000, 0.5), "integer >= 1, got list"),
+        (_ONE_DIM_SPEC.format("1", "NaN"), "detector spec is not valid JSON"),
+        (_ONE_DIM_SPEC.format("1", "Infinity"), "detector spec is not valid JSON"),
+        (_ONE_DIM_SPEC.format("1", "-Infinity"), "detector spec is not valid JSON"),
+        (_ONE_DIM_SPEC.format("1", "0.5") + "]", "detector spec is not valid JSON"),
+        ("\ufeff" + _ONE_DIM_SPEC.format("1", "0.5"), "detector spec is not valid JSON"),
     ],
     ids=["array", "string", "dim-null", "dim-1e400", "dim-1.9", "dim-true", "dim-string", "dim-0",
-         "entry-object", "entry-overflow", "deep-nesting"],
+         "entry-object", "entry-overflow", "deep-nesting", "deep-nesting-entry", "deep-nesting-dim",
+         "entry-nan-literal", "entry-infinity-literal", "entry-minus-infinity-literal", "trailing-bracket",
+         "byte-order-mark"],
 )
 def test_malformed_spec_file_raises_value_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc, encoding="utf-8")
     with pytest.raises(ValueError, match=re.escape(message)):
         read_spec_file(path)
+
+
+@pytest.mark.parametrize("label, shown", [("null", "null"), ("[1, 2]", "list"), ('{"a": "b"}', "dict"), ("7", "7")])
+def test_spec_labels_must_be_strings(tmp_path, label, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(_ONE_DIM_SPEC.format("1", 0.5)[:-1] + f', "label1": {label}}}', encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"detector spec label1 must be a string, got {shown}")):
+        read_spec_file(path)
+
+
+def _agreement_values():
+    """Float64 values at the edges of the format, random bit patterns and
+    random magnitudes."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-308, 1e308,
+             -1e308, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 2.0**53, -(2.0**53) - 2]
+    rng = np.random.default_rng(11)
+    bits = rng.integers(0, 2**64, 300, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(100) * 10.0 ** rng.integers(-320, 300, 100)
+    return np.concatenate([edges, bits[np.isfinite(bits)], scaled])
+
+
+# Integer literals on both sides of the int64 and uint64 limits (beyond them a
+# parser must round to a double), round-to-nearest-even ties, and the largest
+# magnitudes a double holds.
+_INTEGER_LITERALS = ["-0", str(2**53 + 1), str(2**63), str(2**64 - 1), str(2**64 + 1), str(-(2**63) - 1),
+                     str(2**70 + 2**17), str(2**70 + 2**17 + 1), str(10**308), str(int(1.7976931348623157e308))]
+
+
+def _render(node, newline, pad, level=0):
+    if isinstance(node, str):
+        return node
+    inner = newline + pad * (level + 1)
+    items = ("," + inner).join(_render(x, newline, pad, level + 1) for x in node)
+    return "[" + inner + items + newline + pad * level + "]"
+
+
+@pytest.mark.parametrize("layout", [("", ""), ("\n", "  "), ("\r\n", "\t")], ids=["compact", "indented", "crlf-tabs"])
+@pytest.mark.parametrize("fmt", ["%r", "%.17g", "%.17E", "integer"])
+def test_spec_reader_agrees_with_the_json_decoder(tmp_path, fmt, layout):
+    values = _agreement_values()
+    if fmt == "integer":
+        literals = [str(int(x)) for x in values.tolist() if x.is_integer()] + _INTEGER_LITERALS
+    else:
+        literals = [fmt % x for x in values.tolist()]
+    d = 7
+    literals = (literals * (4 * d * d))[: 4 * d * d]
+    e0, e1 = np.array(literals, dtype=object).reshape(2, d, d, 2).tolist()
+    newline, pad = layout
+    text = (
+        "{" + newline + f'"dimension": {d},' + newline
+        + '"E0": ' + _render(e0, newline, pad) + "," + newline
+        + '"E1": ' + _render(e1, newline, pad) + newline + "}" + newline
+    )
+    path = tmp_path / "foreign.json"
+    path.write_bytes(text.encode("utf-8"))
+    spec = read_spec_file(path)
+    doc = json.loads(text)
+    for got, key in ((spec.e0_raw, "E0"), (spec.e1_raw, "E1")):
+        want = np.asarray(doc[key], dtype=float)
+        assert got.tobytes() == want.tobytes(), key
+    if fmt in ("%r", "%.17E"):  # each names its double exactly ("%.17g" writes -0.0 as the integer -0)
+        read = np.stack((spec.e0_raw, spec.e1_raw)).view(np.float64).ravel()
+        assert read.tobytes() == np.resize(values, read.size).tobytes()
 
 
 def test_spec_file_writes_one_matrix_row_per_line(tmp_path):
@@ -290,6 +362,16 @@ def test_load_pair_runs_one_eigensolve_per_detector(monkeypatch):
     e0, e1 = random_efficiency(rng, 4), random_efficiency(rng, 4)
     load_pair(e0, e1)
     assert len(calls) == 2
+
+
+def test_load_pair_reuses_the_eigensystem_of_a_validated_response(monkeypatch):
+    rng = np.random.default_rng(3)
+    e0, e1 = (validate_efficiency(random_efficiency(rng, 4)) for _ in range(2))
+    calls = _count_eigensolves(monkeypatch)
+    pair = load_pair(e0, e1)
+    assert calls == []
+    assert pair.e0 is e0 and pair.e1 is e1
+    assert pair.f0.tobytes() == load_pair(e0.matrix, e1.matrix).f0.tobytes()
 
 
 def test_deflation_reuses_the_eigensystems_of_load_pair(monkeypatch):

@@ -1,4 +1,5 @@
-"""Each CLI command imports only the SciPy parts its code path calls.
+"""Each CLI command imports only the SciPy parts its code path calls, and
+only the commands that read a detector spec import its parser, orjson.
 
 SciPy's submodules cost 0.15-0.2 s each to import, several times what a
 one-shot `analyze` computes, so a module-level import that no command path
@@ -37,6 +38,19 @@ print(json.dumps(report))
 """
 
 
+def _run_probe(steps, heavy) -> dict:
+    """{step: [exit code, modules of `heavy` loaded so far]} from one fresh interpreter."""
+    package_root = str(Path(qkd_mismatch.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE.format(heavy=heavy), json.dumps(steps)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
     demo = str(DATA / "demo_detectors.json")
     steps = [
@@ -47,15 +61,7 @@ def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
                           "--bandwidth-ghz", "1", "--gate-ns", "0:2", "--out", str(tmp_path / "spec.json")]),
         ("sweep-optimized", ["sweep", "--spec", demo, "--steps", "2", "--e-max", "0.05"]),
     ]
-    package_root = str(Path(qkd_mismatch.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(heavy=HEAVY), json.dumps(steps)],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
+    report = _run_probe(steps, HEAVY)
     assert {step: code for step, (code, _) in report.items()} == dict.fromkeys(report, 0)
     loaded = {step: modules for step, (_, modules) in report.items()}
     assert loaded == {
@@ -66,6 +72,15 @@ def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
         "characterize": ["scipy.special"],
         "sweep-optimized": ["scipy.linalg", "scipy.special"],
     }
+
+
+def test_only_commands_that_read_a_spec_load_its_parser(tmp_path):
+    steps = [
+        ("characterize", ["characterize", str(DATA / "response_det0.csv"), str(DATA / "response_det1.csv"),
+                          "--bandwidth-ghz", "1", "--gate-ns", "0:2", "--out", str(tmp_path / "spec.json")]),
+        ("analyze", ["analyze", "--spec", str(tmp_path / "spec.json")]),
+    ]
+    assert _run_probe(steps, ("orjson",)) == {"import": [0, []], "characterize": [0, []], "analyze": [0, ["orjson"]]}
 
 
 def test_public_api_is_exactly_this_set():

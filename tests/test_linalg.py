@@ -52,7 +52,7 @@ def _basis_dependent_products():
     singular = (v * np.r_[0.0, w[1:]][np.newaxis, :]) @ v.conj().T
     matrices = [np.eye(3), np.diag([0.5, 0.5, 0.3, 0.3, 0.3, 0.0]), singular, random_efficiency(rng, 5)]
     out = [principal_sqrt(m) for m in matrices]
-    out += [_nullspace_projector(p.e0, p.eig0)[0] for p in (load_pair(m, m) for m in matrices)]
+    out += [_nullspace_projector(p.e0)[0] for p in (load_pair(m, m) for m in matrices)]
     pairs = [
         (np.diag([0.5, 0.5, 0.3, 0.3]), np.diag([0.25, 0.25, 0.6, 0.6])),
         (0.4 * np.eye(3), 0.4 * np.eye(3)),
