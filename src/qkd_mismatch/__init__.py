@@ -2,7 +2,7 @@
 
 The receiver's two detectors respond to an auxiliary degree of freedom
 (arrival time, frequency, spatial mode) through matrix-valued efficiencies
-E_i = F_i^dag F_i. This package computes how much secret key survives the
+0 <= E_i <= I. This package computes how much secret key survives the
 mismatch: the analytic noiseless rate, analytic worst-case bounds, numerically
 optimized bounds over a collective attack, the four-phase detector-switching
 rate that removes the penalty entirely, plus response characterization from

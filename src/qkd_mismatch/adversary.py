@@ -365,13 +365,13 @@ def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float,
     measures progress: a bisection follows whenever two steps fail to halve
     it (a bracket rule would bisect every third step while a smooth minimum
     is approached from one side). The search ends when the bracket is
-    narrower than 1e-14 (relative) or the gap is gone (rounding makes it
-    <= 0), so the value is the minimum to rounding even at a kink, where a
+    narrower than 1e-14 (relative) or the gap is an ulp of the values or
+    less, so the value is the minimum to rounding even at a kink, where a
     search on values alone stops a square root of rounding away. When both
-    ends lie at or below the floor, rounding orders their values, and the
-    end with the flatter slope is returned: it is the nearer to a smooth
-    minimum, whose witness would otherwise miss the rates by the bracket's
-    width times the curvature.
+    ends lie at or below the floor, or their values tie, rounding orders
+    them, and the end with the flatter slope is returned: it is the nearer
+    to a smooth minimum, whose witness would otherwise miss the rates by the
+    bracket's width times the curvature.
     """
 
     def probe(t):
@@ -397,8 +397,8 @@ def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float,
         # By convexity both tangents lie below the function; they meet at its lowest possible value.
         floor = fa + ga * (fb - fa + gb * (ta - tb)) / (ga - gb)
         gaps.append(min(fa, fb) - floor)
-        if tb - ta <= 1e-14 * max(1.0, abs(ta), abs(tb)) or gaps[-1] <= 0.0:
-            if max(fa, fb) <= floor:
+        if tb - ta <= 1e-14 * max(1.0, abs(ta), abs(tb)) or gaps[-1] <= 2.2e-16 * max(abs(fa), abs(fb)):
+            if max(fa, fb) <= floor or fa == fb:
                 best = lo if -ga <= gb else hi
             else:
                 best = lo if fa <= fb else hi

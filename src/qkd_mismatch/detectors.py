@@ -3,8 +3,8 @@
 A detector with a matrix-valued efficiency response clicks on an auxiliary
 input state rho with probability Tr(rho E), where E is a d x d Hermitian
 matrix with 0 <= E <= I. The pair of responses (E0, E1) for the bit-0 and
-bit-1 detectors, factored as E_i = F_i^dag F_i, determines the mismatch
-spectrum: the eigenvalues D_1..D_d of F0 (F1^dag F1)^-1 F0^dag, which are the
+bit-1 detectors determines the mismatch spectrum: with F0 the principal
+square root of E0, the eigenvalues D_1..D_d of F0 E1^-1 F0, which are the
 per-mode efficiency ratios between the detectors and drive every key-rate
 formula in this package.
 """
@@ -28,8 +28,8 @@ NULLSPACE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EfficiencyResponse:
-    """Validated d x d efficiency matrix E with 0 <= E <= I, and the
-    eigensystem it was validated from."""
+    """Validated d x d efficiency matrix E with 0 <= E <= I, the eigensystem
+    it was validated from, and its principal square root, formed on first use."""
 
     matrix: np.ndarray
     eig: linalg.HermitianEigenSystem
@@ -47,6 +47,13 @@ class EfficiencyResponse:
     def scale(self) -> float:
         """max(1, ||E||_F), the scale of the relative tolerances on E."""
         return max(1.0, linalg.frobenius(self.matrix))
+
+    @functools.cached_property
+    def root(self) -> np.ndarray:
+        """The principal square root F of E (E = F F), from `eig`."""
+        f = linalg.sqrt_from_eig(self.eig, linalg.PSD_RTOL * self.scale)
+        f.setflags(write=False)
+        return f
 
 
 def validate_efficiency(raw) -> EfficiencyResponse:
@@ -73,12 +80,10 @@ def _above_rank_cutoff(e: EfficiencyResponse) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DetectorPair:
-    """Responses of both detectors and their principal-square-root factors."""
+    """The validated responses of the bit-0 and bit-1 detectors."""
 
     e0: EfficiencyResponse
     e1: EfficiencyResponse
-    f0: np.ndarray
-    f1: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -99,51 +104,43 @@ class DetectorPair:
 
 @dataclass(frozen=True)
 class MismatchSpectrum:
-    """Eigen-decomposition U diag(D) U^dag of F0 (F1^dag F1)^-1 F0^dag.
+    """Eigen-decomposition U diag(D) U^dag of F0 E1^-1 F0, F0 = E0^(1/2).
 
-    `ratios` holds D_1 >= ... >= D_d > 0, the mode-wise efficiency ratios.
+    `ratios` holds D_1 >= ... >= D_d > 0, the mode-wise efficiency ratios,
+    and `basis` the orthonormal columns of U.
     """
 
     ratios: np.ndarray
     basis: np.ndarray
 
 
-def _factor(e) -> tuple[EfficiencyResponse, np.ndarray]:
-    """Validated response and principal square root of a raw matrix or an
-    EfficiencyResponse, from the response's one eigendecomposition."""
-    if not isinstance(e, EfficiencyResponse):
-        e = validate_efficiency(e)
-    f = linalg.sqrt_from_eig(e.eig, linalg.PSD_RTOL * e.scale)
-    f.setflags(write=False)
-    return e, f
-
-
 def load_pair(e0_raw, e1_raw) -> DetectorPair:
-    """Validate two efficiency matrices and factor them. Either may already
-    be an EfficiencyResponse, whose eigensystem is then reused."""
-    (e0, f0), (e1, f1) = _factor(e0_raw), _factor(e1_raw)
+    """Validate two efficiency matrices. Either may already be an
+    EfficiencyResponse, which is then used as it is."""
+    e0, e1 = (e if isinstance(e, EfficiencyResponse) else validate_efficiency(e) for e in (e0_raw, e1_raw))
     if e0.dim != e1.dim:
         raise DimensionMismatch(f"detector dimensions differ: {e0.dim} vs {e1.dim}")
-    return DetectorPair(e0=e0, e1=e1, f0=f0, f1=f1)
+    return DetectorPair(e0=e0, e1=e1)
 
 
 def swap_detectors(pair: DetectorPair) -> DetectorPair:
     """Exchange the roles of the bit-0 and bit-1 detectors."""
-    return DetectorPair(e0=pair.e1, e1=pair.e0, f0=pair.f1, f1=pair.f0)
+    return DetectorPair(e0=pair.e1, e1=pair.e0)
 
 
 def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
-    """Efficiency-ratio spectrum of the pair; requires both detectors full rank."""
+    """Efficiency-ratio spectrum of the pair; requires both detectors full rank.
+
+    K = F0 V1 diag(w1)^-1/2, with E1 = V1 diag(w1) V1^dag, has K K^dag =
+    F0 E1^-1 F0, so its SVD U diag(sigma) W^dag gives D = sigma^2 and the
+    basis U. The rank cutoff keeps sigma far above the SVD's rounding.
+    """
     if not pair.full_rank:
         raise SingularDetector("mismatch spectrum needs full-rank responses")
-    e1_inv = np.linalg.inv(pair.e1.matrix)
-    m = pair.f0 @ e1_inv @ pair.f0.conj().T
-    eig = linalg.hermitian_eig(m)
-    ratios = eig.eigenvalues.copy()
-    if ratios.min() <= 0.0:
-        raise SingularDetector("nonpositive efficiency ratio; responses too singular")
+    eig1 = pair.e1.eig
+    basis, sigma, _ = np.linalg.svd(pair.e0.root @ (eig1.eigenvectors / np.sqrt(eig1.eigenvalues)))
+    ratios = sigma * sigma
     ratios.setflags(write=False)
-    basis = eig.eigenvectors.copy()
     basis.setflags(write=False)
     return MismatchSpectrum(ratios=ratios, basis=basis)
 

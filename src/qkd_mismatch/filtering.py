@@ -35,8 +35,8 @@ class VirtualFilterC:
     """The contraction's Gram matrix C^dag C and a filter-validity certificate.
 
     `validity_margin` is 1 minus the largest eigenvalue of the two blocks
-    C (F_i^dag F_i)^-1 C^dag; a valid filter keeps it >= -1e-9 (one block
-    always saturates at exactly 1 by construction).
+    C E_i^-1 C^dag; a valid filter keeps it >= -1e-9 (one block always
+    saturates at exactly 1 by construction).
     """
 
     gram: np.ndarray
@@ -68,12 +68,12 @@ class NoiselessRate:
 
 
 def compute_filter(spectrum: MismatchSpectrum, pair: DetectorPair) -> VirtualFilterC:
-    """Build the optimal contraction C for a full-rank pair."""
+    """Build the optimal contraction C for a full-rank pair, with F0 = E0^(1/2)."""
     if not pair.full_rank:
         raise SingularDetector("virtual filter needs full-rank responses")
     d = spectrum.ratios
     scale = np.sqrt(np.minimum(1.0 / d, 1.0))
-    c = (scale[:, np.newaxis] * spectrum.basis.conj().T) @ pair.f0
+    c = (scale[:, np.newaxis] * spectrum.basis.conj().T) @ pair.e0.root
     gram = c.conj().T @ c
     gram = 0.5 * (gram + gram.conj().T)
 
@@ -85,7 +85,9 @@ def compute_filter(spectrum: MismatchSpectrum, pair: DetectorPair) -> VirtualFil
     )
     margin = 1.0 - float(top)
     if margin < -VALIDITY_TOL:
-        raise NumericalFailure(f"filter validity margin {margin:.3e} below -{VALIDITY_TOL}")
+        w0, w1 = pair.e0.eig.eigenvalues[-1], pair.e1.eig.eigenvalues[-1]
+        raise NumericalFailure(f"filter validity margin {margin:.3e} below -{VALIDITY_TOL}: the pair is too close "
+                               f"to singular for a certified filter (smallest eigenvalues {w0:.3e} and {w1:.3e})")
     gram.setflags(write=False)
     return VirtualFilterC(gram=gram, validity_margin=margin)
 

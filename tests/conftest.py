@@ -38,3 +38,17 @@ def random_efficiency(rng, d, lo=0.1, hi=0.95):
 
 def random_pair(rng, d, lo=0.1, hi=0.95):
     return load_pair(random_efficiency(rng, d, lo, hi), random_efficiency(rng, d, lo, hi))
+
+
+def near_singular_pair(seed, d, eps):
+    """Two real full-rank responses Q diag(w) Q^T, each with its own Q from the
+    QR of a standard-normal matrix and w uniform in [0.05, 0.95] but for four
+    eigenvalues set to `eps`. Both clear the rank cutoff, so nothing deflates."""
+    rng = np.random.default_rng(seed)
+    raws = []
+    for _ in range(2):
+        q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        w = rng.uniform(0.05, 0.95, d)
+        w[:4] = eps
+        raws.append((q * w) @ q.T)
+    return raws

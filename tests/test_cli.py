@@ -18,7 +18,7 @@ from qkd_mismatch import (
 from qkd_mismatch import cli, detectors, filtering
 from qkd_mismatch.cli import MAX_SWEEP_STEPS, build_parser, main
 
-from conftest import DEMO_E0, DEMO_E1
+from conftest import DEMO_E0, DEMO_E1, near_singular_pair
 
 
 @pytest.fixture()
@@ -129,6 +129,15 @@ def test_analyze_missing_file_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "analyze", "--spec", str(tmp_path / "nope.json"))
     assert code == 1
     assert "error:" in err
+
+
+def test_analyze_near_singular_pair_names_the_conditioning(capsys, tmp_path):
+    path = tmp_path / "near_singular.json"
+    write_spec_file(path, *near_singular_pair(0, 16, 1e-8))
+    code, out, err = run_cli(capsys, "analyze", "--spec", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too close to singular" in err and "symmetry defect" not in err
 
 
 @pytest.mark.parametrize("doc", [

@@ -32,12 +32,13 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 def test_load_pair_uniform_quarter():
     pair = load_pair(0.25 * np.eye(2), 0.25 * np.eye(2))
     assert pair.full_rank0 and pair.full_rank1
-    np.testing.assert_allclose(pair.f0 @ pair.f0, 0.25 * np.eye(2), atol=1e-12)
+    for e in (pair.e0, pair.e1):
+        np.testing.assert_allclose(e.root @ e.root, 0.25 * np.eye(2), atol=1e-12)
 
 
 def test_load_pair_demo_matrices(demo_pair):
     assert demo_pair.full_rank
-    for f, e in ((demo_pair.f0, DEMO_E0), (demo_pair.f1, DEMO_E1)):
+    for f, e in ((demo_pair.e0.root, DEMO_E0), (demo_pair.e1.root, DEMO_E1)):
         assert np.linalg.norm(f.conj().T @ f - e) <= 1e-9
 
 
@@ -105,13 +106,27 @@ def test_ratios_invariant_under_factor_refactoring():
         pair = random_pair(rng, d)
         v0 = random_unitary(rng, d)
         v1 = random_unitary(rng, d)
-        g0 = v0 @ pair.f0
-        g1 = v1 @ pair.f1
+        g0 = v0 @ pair.e0.root
+        g1 = v1 @ pair.e1.root
         m = g0 @ np.linalg.inv(g1.conj().T @ g1) @ g0.conj().T
         ratios = np.sort(np.linalg.eigvalsh(m))
         np.testing.assert_allclose(
             ratios, np.sort(mismatch_spectrum(pair).ratios), atol=1e-8
         )
+
+
+@pytest.mark.parametrize("complex_basis", [False, True], ids=["real", "complex"])
+def test_commuting_pair_ratios_are_the_eigenvalue_quotients(complex_basis):
+    # Q diag(w0) Q^dag and Q diag(w1) Q^dag have D = w0 / w1 to rounding, here
+    # with eigenvalues near 1e-6 in both detectors, on shared and on separate modes.
+    rng = np.random.default_rng(0)
+    d = 32
+    q = random_unitary(rng, d) if complex_basis else np.linalg.qr(rng.standard_normal((d, d)))[0]
+    w0, w1 = rng.uniform(0.05, 0.95, d), rng.uniform(0.05, 0.95, d)
+    w0[:4] = rng.uniform(1e-6, 1e-5, 4)
+    w1[2:6] = rng.uniform(1e-6, 1e-5, 4)
+    pair = load_pair(*((q * w) @ q.conj().T for w in (w0, w1)))
+    np.testing.assert_allclose(mismatch_spectrum(pair).ratios, np.sort(w0 / w1)[::-1], rtol=1e-8, atol=0)
 
 
 def test_diagonal_pair_ratios_are_pointwise():
@@ -341,7 +356,7 @@ def test_read_shipped_indented_spec_file():
 
 
 def _count_eigensolves(monkeypatch):
-    """The list every later `np.linalg.eigh` / `eigvalsh` call appends its name to."""
+    """The list every later `np.linalg.eigh` / `eigvalsh` / `svd` call appends its name to."""
     calls = []
 
     def counted(fn):
@@ -351,7 +366,7 @@ def _count_eigensolves(monkeypatch):
 
         return wrapper
 
-    for name in ("eigh", "eigvalsh"):
+    for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
     return calls
 
@@ -369,16 +384,18 @@ def test_load_pair_reuses_the_eigensystem_of_a_validated_response(monkeypatch):
     e0, e1 = (validate_efficiency(random_efficiency(rng, 4)) for _ in range(2))
     calls = _count_eigensolves(monkeypatch)
     pair = load_pair(e0, e1)
+    roots = [pair.e0.root, pair.e1.root]  # formed from the carried eigensystems
     assert calls == []
     assert pair.e0 is e0 and pair.e1 is e1
-    assert pair.f0.tobytes() == load_pair(e0.matrix, e1.matrix).f0.tobytes()
+    again = load_pair(e0.matrix, e1.matrix)
+    assert [f.tobytes() for f in roots] == [again.e0.root.tobytes(), again.e1.root.tobytes()]
 
 
 def test_deflation_reuses_the_eigensystems_of_load_pair(monkeypatch):
     calls = _count_eigensolves(monkeypatch)
     analysis = analyze_pair(load_pair(np.diag([0.8, 0.5, 0.0]), np.diag([0.3, 0.6, 0.0])), Knowledge.FULL_MATRICES)
-    # Two in load_pair, two in the reduced load_pair, one for the spectrum.
-    assert calls == ["eigh"] * 5
+    # Two in load_pair, two in the reduced load_pair, one SVD for the spectrum.
+    assert calls == ["eigh"] * 4 + ["svd"]
     assert analysis.pair.dim == 2
     np.testing.assert_allclose(np.sort(analysis.spectrum.ratios), [0.5 / 0.6, 0.8 / 0.3], rtol=1e-14)
 
@@ -399,7 +416,7 @@ def test_real_pair_stays_real_and_matches_its_complex_image():
             pair = load_pair(*inputs)
             spectrum = mismatch_spectrum(pair)
             filt = compute_filter(spectrum, pair)
-            for a in (pair.e0.matrix, pair.e1.matrix, pair.f0, pair.f1, spectrum.basis, filt.gram):
+            for a in (pair.e0.matrix, pair.e1.matrix, pair.e0.root, pair.e1.root, spectrum.basis, filt.gram):
                 assert a.dtype == dtype
             results.append((spectrum.ratios, filt.validity_margin))
         for ratios, margin in results[1:]:
@@ -420,10 +437,9 @@ def test_load_pair_matches_separate_validation_root_and_rank():
             u = random_unitary(rng, d)
             raws[int(rng.integers(2))] = (u * np.r_[rng.uniform(0.1, 0.9, d - 1), 0.0]) @ u.conj().T
         pair = load_pair(*raws)
-        sides = ((raws[0], pair.e0, pair.f0, pair.full_rank0), (raws[1], pair.e1, pair.f1, pair.full_rank1))
-        for raw, e, f, full in sides:
+        for raw, e, full in ((raws[0], pair.e0, pair.full_rank0), (raws[1], pair.e1, pair.full_rank1)):
             np.testing.assert_array_equal(e.matrix, validate_efficiency(raw).matrix)
-            assert f.tobytes() == principal_sqrt(e.matrix).tobytes() == principal_sqrt(raw).tobytes()
+            assert e.root.tobytes() == principal_sqrt(e.matrix).tobytes() == principal_sqrt(raw).tobytes()
             assert full == _eigvalsh_full_rank(e.matrix)
 
 

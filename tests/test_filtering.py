@@ -15,9 +15,10 @@ from qkd_mismatch import (
     special_case_rate,
     swap_detectors,
 )
-from qkd_mismatch.errors import DomainError, SingularDetector
+from qkd_mismatch.errors import DomainError, NumericalFailure, SingularDetector
+from qkd_mismatch.filtering import VALIDITY_TOL
 
-from conftest import random_efficiency, random_pair
+from conftest import near_singular_pair, random_efficiency, random_pair
 from oracles import noiseless_rate_bruteforce
 
 # Gram matrix of the reported contraction [[0.51, -0.17], [0.12, 0.56]]
@@ -53,8 +54,8 @@ def test_filter_eigenvalue_identities():
         spec = mismatch_spectrum(pair)
         filt = compute_filter(spec, pair)
         for f, expected in (
-            (pair.f0, np.minimum(1.0 / spec.ratios, 1.0)),
-            (pair.f1, np.minimum(spec.ratios, 1.0)),
+            (pair.e0.root, np.minimum(1.0 / spec.ratios, 1.0)),
+            (pair.e1.root, np.minimum(spec.ratios, 1.0)),
         ):
             fi = np.linalg.inv(f)
             block = fi.conj().T @ filt.gram @ fi
@@ -192,3 +193,24 @@ def test_compute_filter_requires_full_rank():
     spectrum = mismatch_spectrum(load_pair(0.5 * np.eye(2), 0.5 * np.eye(2)))
     with pytest.raises(SingularDetector):
         compute_filter(spectrum, singular)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8, 1e-9])
+def test_near_singular_pairs_end_in_a_filter_or_a_conditioning_error(eps):
+    # Hermitian inputs: no pair may end in a symmetry error. A filter that
+    # cannot be certified must say that the responses are near singular.
+    certified = 0
+    for d in (8, 16, 32):
+        for seed in range(6):
+            analysis = analyze_pair(load_pair(*near_singular_pair(seed, d, eps)), Knowledge.FULL_MATRICES)
+            assert analysis.pair.full_rank and analysis.spectrum.ratios.min() > 0.0
+            try:
+                filt = compute_filter(analysis.spectrum, analysis.pair)
+            except NumericalFailure as exc:
+                assert "too close to singular for a certified filter" in str(exc)
+                assert f"smallest eigenvalues {eps:.3e} and {eps:.3e}" in str(exc)
+            else:
+                assert filt.validity_margin >= -VALIDITY_TOL
+                certified += 1
+    if eps == 1e-6:
+        assert certified == 18
