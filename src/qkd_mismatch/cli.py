@@ -60,7 +60,15 @@ def _rate(x: float) -> str:
 
 
 def _emit_json(doc, out=None) -> None:
-    (out or sys.stdout).write(json.dumps(doc, indent=2) + "\n")
+    """Write `doc` as 2-space indented JSON, non-ASCII text as UTF-8."""
+    import orjson  # on first use: see `detectors.read_spec_file`
+
+    options = orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE | orjson.OPT_SERIALIZE_NUMPY
+    try:
+        text = orjson.dumps(doc, option=options).decode()
+    except orjson.JSONEncodeError:  # an integer beyond 64 bits (attack --seed) or a lone surrogate
+        text = json.dumps(doc, indent=2) + "\n"
+    (out or sys.stdout).write(text)
 
 
 def _load_pair_from_spec(path) -> tuple[DetectorPair, str, str]:

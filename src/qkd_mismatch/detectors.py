@@ -12,6 +12,7 @@ formula in this package.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -195,30 +196,31 @@ class DetectorSpecFile:
 
 
 def _matrix_from_pairs(rows, dim: int, name: str) -> np.ndarray:
+    """The complex dim x dim matrix held by parsed rows of [re, im] cells."""
+    if type(rows) is not list or len(rows) != dim or any(type(r) is not list or len(r) != dim for r in rows):
+        raise ValueError(f"{name}: expected {dim} rows of {dim} [re, im] entries")
+    cells = list(itertools.chain.from_iterable(rows))
+    if any(type(cell) is not list or len(cell) != 2 for cell in cells):
+        raise ValueError(f"{name}: entries must be [re, im] pairs of numbers")
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.fromiter(itertools.chain.from_iterable(cells), float, 2 * dim * dim)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: entries must be [re, im] pairs of numbers ({exc})") from exc
-    if arr.shape != (dim, dim, 2):
-        raise ValueError(f"{name}: expected {dim}x{dim} [re, im] entries, got {arr.shape}")
-    return arr.view(complex)[..., 0]  # exact: re + 1j * im would turn -0.0 into 0.0
+    return arr.view(complex).reshape(dim, dim)  # exact: re + 1j * im would turn -0.0 into 0.0
 
 
-def _rows_json(m: np.ndarray) -> str:
+def _rows_json(m: np.ndarray) -> bytes:
     """Rows of `m` as JSON arrays of [re, im] pairs, one row per line.
 
-    Each float is written as its repr, as the json encoder writes it, so
-    values read back bit for bit. The repr is the cost, and a symmetric or
-    real matrix holds few distinct numbers: each distinct bit pattern (0.0
-    and -0.0 count apart) is formatted once, and the rows are assembled from
-    the inverse index.
+    orjson writes each float as the shortest text that reads back to the
+    same double; two replaces spread its compact output one row per line.
     """
-    pairs = np.stack((m.real, m.imag), -1)
-    bits, inverse = np.unique(pairs.view(np.int64), return_inverse=True)
-    text = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    parts = text[inverse.reshape(pairs.shape)]
-    entries = parts[..., 0] + ", " + parts[..., 1]
-    return ",\n    ".join("[[" + "], [".join(row) + "]]" for row in entries.tolist())
+    import orjson
+
+    # orjson takes only C-contiguous arrays, and `as_matrix` keeps a transpose's layout.
+    pairs = np.ascontiguousarray(m, dtype=complex).view(float).reshape(*m.shape, 2)
+    text = orjson.dumps(pairs, option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[1:-1].replace(b",", b", ").replace(b"]], [[", b"]],\n    [[")
 
 
 def _shown(value) -> str:
@@ -235,8 +237,9 @@ def _label(doc: dict, key: str, default: str) -> str:
 
 
 def read_spec_file(path) -> DetectorSpecFile:
-    # Imported on first use: it pulls in `uuid` and `zoneinfo`, and commands
-    # that read no spec (`characterize`) should not pay for them at start-up.
+    # Imported on first use, here, in the writer and in `cli._emit_json`: it
+    # pulls in `uuid` and `zoneinfo`, which a plain `characterize` (no spec
+    # file, no --json) should not pay for at start-up.
     import orjson
 
     with open(path, "rb") as fh:
@@ -271,14 +274,13 @@ def write_spec_file(path, e0, e1, label0: str = "detector0", label1: str = "dete
     m1 = linalg.as_matrix(e1)
     if m0.shape != m1.shape or m0.shape[0] != m0.shape[1]:
         raise DimensionMismatch("detector spec needs two square matrices of equal size")
-    text = (
-        "{\n"
-        f'  "dimension": {m0.shape[0]},\n'
-        f'  "E0": [\n    {_rows_json(m0)}\n  ],\n'
-        f'  "E1": [\n    {_rows_json(m1)}\n  ],\n'
-        f'  "label0": {json.dumps(label0)},\n'
-        f'  "label1": {json.dumps(label1)}\n'
-        "}\n"
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    data = (
+        b'{\n  "dimension": %d,\n'
+        b'  "E0": [\n    %s\n  ],\n'
+        b'  "E1": [\n    %s\n  ],\n'
+        b'  "label0": %s,\n'
+        b'  "label1": %s\n'
+        b"}\n"
+    ) % (m0.shape[0], _rows_json(m0), _rows_json(m1), json.dumps(label0).encode(), json.dumps(label1).encode())
+    with open(path, "wb") as fh:
+        fh.write(data)

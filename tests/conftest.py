@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,16 @@ def near_singular_pair(seed, d, eps):
         w[:4] = eps
         raws.append((q * w) @ q.T)
     return raws
+
+
+# A JSON number token, or a run of digits inside a string (compared as text).
+_NUMBER = re.compile(r"-?\d[\d.eE+-]*")
+
+
+def assert_differs_only_in_float_spelling(text, reference):
+    """`text` equals `reference` outside its number tokens, and each token
+    that differs names the same double (sign of zero included) as the one
+    in its place: `1e-6` may stand for `1e-06`, never for another value."""
+    assert _NUMBER.sub("#", text) == _NUMBER.sub("#", reference)
+    for got, want in zip(_NUMBER.findall(text), _NUMBER.findall(reference)):
+        assert got == want or float(got).hex() == float(want).hex(), (got, want)

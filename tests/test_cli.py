@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from qkd_mismatch import (
 from qkd_mismatch import cli, detectors, filtering
 from qkd_mismatch.cli import MAX_SWEEP_STEPS, build_parser, main
 
-from conftest import DEMO_E0, DEMO_E1, near_singular_pair
+from conftest import DEMO_E0, DEMO_E1, assert_differs_only_in_float_spelling, near_singular_pair
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture()
@@ -474,6 +477,83 @@ def test_attack_json_echoes_the_simulated_law(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["shift_indices"] == [1, 0] and doc["shift_probs"] == [0.5, 0.5]
+
+
+CHARACTERIZE_D17 = ["characterize", str(DATA / "response_det0.csv"), str(DATA / "response_det1.csv"),
+                    "--bandwidth-ghz", "4", "--gate-ns", "0:2"]
+
+
+def _record_json_documents(monkeypatch):
+    """The documents every later `cli._emit_json` call is given, in order."""
+    docs = []
+    emit = cli._emit_json
+
+    def recording(doc, out=None):
+        docs.append(doc)
+        emit(doc, out)
+
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    return docs
+
+
+def _assert_same_document(parsed, doc):
+    """`parsed` is `doc`: the same keys in order, and every float finite
+    and bit for bit (orjson would print NaN as null)."""
+    if isinstance(doc, float):
+        assert math.isfinite(doc) and type(parsed) is float and parsed.hex() == float(doc).hex()
+    elif isinstance(doc, dict):
+        assert list(parsed) == list(doc)
+        for key in doc:
+            _assert_same_document(parsed[key], doc[key])
+    elif isinstance(doc, list):
+        assert type(parsed) is list and len(parsed) == len(doc)
+        for got, want in zip(parsed, doc):
+            _assert_same_document(got, want)
+    else:
+        assert type(parsed) is type(doc) and parsed == doc
+
+
+@pytest.mark.parametrize("spec", ["demo", "characterized-d17"])
+def test_json_output_parses_to_the_emitted_document(tmp_path, capsys, monkeypatch, spec):
+    docs = _record_json_documents(monkeypatch)
+    if spec == "demo":
+        path, runs = str(DATA / "demo_detectors.json"), []
+    else:
+        path = str(tmp_path / "d17.json")
+        runs = [CHARACTERIZE_D17 + ["--out", path, "--json"]]
+    runs += [
+        ["analyze", "--spec", path, "--json"],
+        ["analyze", "--spec", path, "--knowledge", "diagonal", "--json"],
+        ["attack", "--spec", path, "--shift", "0:0.5,1:0.5", "--n", "10000", "--seed", "2", "--json"],
+        ["sweep", "--spec", path, "--bounds-only", "--steps", "4", "--json"],
+        ["sweep", "--spec", path, "--steps", "2", "--e-max", "0.05", "--json"],
+    ]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 2), argv
+        doc = docs.pop()
+        _assert_same_document(json.loads(out), doc)
+        # The layout is the json encoder's `indent=2`; only float spellings differ.
+        assert_differs_only_in_float_spelling(out, json.dumps(doc, indent=2) + "\n")
+    assert not docs
+
+
+def test_json_output_keeps_a_non_ascii_label(tmp_path, capsys):
+    label = "d\u00e9tecteur \u2192 \U0001f600"
+    path = str(tmp_path / "labels.json")
+    assert run_cli(capsys, *CHARACTERIZE_D17, "--out", path, "--label0", label)[0] == 0
+    code, out, _ = run_cli(capsys, "analyze", "--spec", path, "--json")
+    assert code == 0
+    assert f'"{label}"' in out  # UTF-8, not \u escapes
+    assert json.loads(out)["labels"] == [label, "detector1"]
+
+
+def test_attack_json_prints_a_seed_beyond_64_bits(capsys):
+    seed = str(2**70 + 1)
+    code, out, _ = run_cli(capsys, "attack", "--spec", str(DATA / "demo_detectors.json"), "--n", "1000",
+                           "--seed", seed, "--json")
+    assert code == 0
+    assert json.loads(out)["seed"] == int(seed)
 
 
 def test_dispatch_follows_rebound_command(monkeypatch, capsys, demo_spec):

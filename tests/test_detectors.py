@@ -24,7 +24,14 @@ from qkd_mismatch.detectors import RANK_RTOL, validate_efficiency
 from qkd_mismatch.errors import DimensionMismatch, InvalidEfficiency, SingularDetector
 from qkd_mismatch.linalg import frobenius, principal_sqrt
 
-from conftest import DEMO_E0, DEMO_E1, random_efficiency, random_pair, random_unitary
+from conftest import (
+    DEMO_E0,
+    DEMO_E1,
+    assert_differs_only_in_float_spelling,
+    random_efficiency,
+    random_pair,
+    random_unitary,
+)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -183,6 +190,7 @@ def test_spec_file_roundtrip_is_bitwise(tmp_path, d):
 
 
 _ONE_DIM_SPEC = '{{"dimension": {}, "E0": [[[{}, 0.0]]], "E1": [[[0.5, 0.0]]]}}'
+_TWO_DIM_SPEC = '{{"dimension": 2, "E0": {e0}, "E1": {e1}}}'
 
 
 @pytest.mark.parametrize(
@@ -206,17 +214,24 @@ _ONE_DIM_SPEC = '{{"dimension": {}, "E0": [[[{}, 0.0]]], "E1": [[[0.5, 0.0]]]}}'
         (_ONE_DIM_SPEC.format("1", "-Infinity"), "detector spec is not valid JSON"),
         (_ONE_DIM_SPEC.format("1", "0.5") + "]", "detector spec is not valid JSON"),
         ("\ufeff" + _ONE_DIM_SPEC.format("1", "0.5"), "detector spec is not valid JSON"),
+        (_TWO_DIM_SPEC.format(e0="[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]", e1="[[[0.5, 0], [0, 0]], [[0.5, 0]]]"),
+         "E1: expected 2 rows of 2 [re, im] entries"),
+        (_ONE_DIM_SPEC.format("1", "0.5, 0.0"), "E0: entries must be [re, im] pairs of numbers"),
+        (_TWO_DIM_SPEC.format(e0="[[[0.5, 0], [0, 0]], [[0, 0], 0.5]]", e1="[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"),
+         "E0: entries must be [re, im] pairs of numbers"),
+        (_ONE_DIM_SPEC.format("2", "0.5"), "E0: expected 2 rows of 2 [re, im] entries"),
     ],
     ids=["array", "string", "dim-null", "dim-1e400", "dim-1.9", "dim-true", "dim-string", "dim-0",
          "entry-object", "entry-overflow", "deep-nesting", "deep-nesting-entry", "deep-nesting-dim",
          "entry-nan-literal", "entry-infinity-literal", "entry-minus-infinity-literal", "trailing-bracket",
-         "byte-order-mark"],
+         "byte-order-mark", "ragged-row", "three-element-entry", "bare-number-entry", "wrong-dimension"],
 )
 def test_malformed_spec_file_raises_value_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(doc, encoding="utf-8")
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
         read_spec_file(path)
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize("label, shown", [("null", "null"), ("[1, 2]", "list"), ('{"a": "b"}', "dict"), ("7", "7")])
@@ -304,7 +319,7 @@ def test_spec_file_writes_one_matrix_row_per_line(tmp_path):
 def _json_encoder_rows(m):
     """The spec writer's rows as the json encoder writes them, one per line."""
     encode = json.JSONEncoder().encode
-    return ",\n    ".join(encode(row) for row in np.stack((m.real, m.imag), -1).tolist())
+    return ",\n    ".join(encode(row) for row in np.stack((m.real, m.imag), -1).tolist()).encode()
 
 
 def _characterized(bandwidth_ghz, d):
@@ -342,11 +357,36 @@ def _general_pair():
     ],
 )
 def test_spec_writer_matches_the_json_encoder(tmp_path, monkeypatch, build):
+    """The writer's bytes are the json encoder's but for float spellings
+    (orjson writes `1e-6` for `1e-06`); the stdlib parser reads the input
+    doubles back bit for bit, one matrix row per line."""
     m0, m1 = build()
     write_spec_file(tmp_path / "new.json", m0, m1, "a", "b")
     monkeypatch.setattr(detectors, "_rows_json", _json_encoder_rows)
     write_spec_file(tmp_path / "reference.json", m0, m1, "a", "b")
-    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    text = (tmp_path / "new.json").read_text(encoding="utf-8")
+    assert_differs_only_in_float_spelling(text, (tmp_path / "reference.json").read_text(encoding="utf-8"))
+    doc = json.loads(text)
+    lines = text.splitlines()
+    d = doc["dimension"]
+    assert len(lines) == 2 * d + 9
+    for key, m, first in (("E0", m0, 3), ("E1", m1, d + 5)):
+        want = np.asarray(m, dtype=complex)
+        assert np.asarray(doc[key], dtype=float).tobytes() == want.tobytes(), key
+        for i in range(d):
+            assert json.loads(lines[first + i].rstrip(",")) == doc[key][i]
+
+
+def test_spec_file_roundtrip_of_format_edge_values_is_bitwise(tmp_path):
+    values = _agreement_values()
+    d = int(np.ceil(np.sqrt(values.size / 2)))
+    m0 = np.resize(values, 2 * d * d).view(complex).reshape(d, d)
+    m1 = np.resize(values[::-1], 2 * d * d).view(complex).reshape(d, d)
+    path = tmp_path / "edges.json"
+    write_spec_file(path, m0, m1)
+    spec = read_spec_file(path)
+    assert spec.e0_raw.tobytes() == m0.tobytes()
+    assert spec.e1_raw.tobytes() == m1.tobytes()
 
 
 def test_read_shipped_indented_spec_file():

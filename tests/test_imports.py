@@ -1,5 +1,6 @@
 """Each CLI command imports only the SciPy parts its code path calls, and
-only the commands that read a detector spec import its parser, orjson.
+only a command that reads or writes a detector spec or prints `--json`
+imports orjson, which does all three.
 
 SciPy's submodules cost 0.15-0.2 s each to import, several times what a
 one-shot `analyze` computes, so a module-level import that no command path
@@ -74,13 +75,17 @@ def test_commands_load_only_the_scipy_parts_they_call(tmp_path):
     }
 
 
-def test_only_commands_that_read_a_spec_load_its_parser(tmp_path):
-    steps = [
-        ("characterize", ["characterize", str(DATA / "response_det0.csv"), str(DATA / "response_det1.csv"),
-                          "--bandwidth-ghz", "1", "--gate-ns", "0:2", "--out", str(tmp_path / "spec.json")]),
-        ("analyze", ["analyze", "--spec", str(tmp_path / "spec.json")]),
-    ]
-    assert _run_probe(steps, ("orjson",)) == {"import": [0, []], "characterize": [0, []], "analyze": [0, ["orjson"]]}
+def test_commands_load_orjson_only_to_read_or_write_a_spec_or_print_json(tmp_path):
+    characterize = ["characterize", str(DATA / "response_det0.csv"), str(DATA / "response_det1.csv"),
+                    "--bandwidth-ghz", "1", "--gate-ns", "0:2"]
+    # Once loaded, a module stays loaded: each command that should load
+    # orjson runs in its own interpreter, after a plain `characterize`.
+    for step, extra in [("characterize --json", ["--json"]),
+                        ("characterize --out", ["--out", str(tmp_path / "spec.json")])]:
+        steps = [("characterize", characterize), (step, characterize + extra)]
+        assert _run_probe(steps, ("orjson",)) == {"import": [0, []], "characterize": [0, []], step: [0, ["orjson"]]}
+    steps = [("analyze", ["analyze", "--spec", str(DATA / "demo_detectors.json")])]
+    assert _run_probe(steps, ("orjson",)) == {"import": [0, []], "analyze": [0, ["orjson"]]}
 
 
 def test_public_api_is_exactly_this_set():
