@@ -38,7 +38,7 @@ multipliers the previous grid point ended on. A zero target is handled exactly,
 with no multiplier: e_b = 0 confines rho to span{e1, e4} x C^d and e_p' = 0
 to span{e1, e2} x C^d, so at e_b = e_p' = 0 the bound is the closed-form
 noiseless p_succ = lambda_min(2G, E0 + E1) and e_p = 0. The witness state is
-read off the extreme eigenspace at the final multipliers.
+the search's own, mixed from the states at the ends of its final brackets.
 
 Dropping the constraints leaves one generalized eigenvalue per bound, which
 reproduces the analytic min_i min(D_i, 1/D_i) and max_i max(D_i, 1/D_i) of
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -75,16 +74,7 @@ DENOMINATOR_FLOOR = 1e-14
 # multiplier still gives a valid bound, possibly a loose one; a dual that keeps
 # improving up to the cap is how infeasible targets show.
 MULTIPLIER_CAP = 1e6
-# The witness lives on the eigenvectors within TOP_CLUSTER_TOL * ||matrix|| of
-# the top eigenvalue. The final multipliers carry the search's error delta,
-# which turns the top eigenvector towards one a relative gap g below by about
-# delta * ||direction|| / g, so an eigenvector left out at gap g costs the
-# witness a constraint residual of about that size (crossing eigenvalues need
-# not agree to rounding). An eigenvector kept costs the witness's statistic
-# only its mixing weight (about the residual) times g. Since both searches end
-# on slopes, witnesses on 38 random pairs up to d = 32 meet the rates within
-# 8e-8.
-TOP_CLUSTER_TOL = 1e-4
+
 
 def _projector_half(v) -> np.ndarray:
     vec = np.asarray(v, dtype=float)
@@ -310,13 +300,14 @@ def _quadratic_form(direction: np.ndarray):
 
 
 def _top_eigen_slope(base: np.ndarray, direction: np.ndarray):
-    """t -> (lambda_max(base + t direction), u^dag direction u, u), u a top
-    eigenvector: the value and a subgradient, even where eigenvalues cross."""
+    """t -> (lambda_max(base + t direction), u^dag direction u, u as one row),
+    u a top eigenvector: the value, a subgradient even where eigenvalues
+    cross, and the state |u><u| that attains both."""
     slope = _quadratic_form(direction)
 
     def fun(t):
         w, u = _top_eigenpair(base + t * direction)
-        return w, slope(u), u
+        return w, slope(u), u[np.newaxis]
 
     return fun
 
@@ -415,16 +406,32 @@ def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float,
             hi, hi_prev = p, hi
 
 
-def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, start: float = 0.0, step: float = 1.0):
-    """t -> (g(t), a subgradient of g at t, the inner minimizer) for the
-    partial minimum g(t) = min_s lambda_max(base + t first + s second).
+def _end_weights(ends) -> list:
+    """Weights of the points a search ended on (see `_argmin_by_slope`): 1
+    for one point; w = g_hi / (g_hi - g_lo) and 1 - w for a bracket's ends,
+    whose slopes g_lo < 0 < g_hi then cancel."""
+    if len(ends) == 1:
+        return [1.0]
+    w = ends[1][2] / (ends[1][2] - ends[0][2])
+    return [w, 1.0 - w]
 
-    The subgradient comes off the inner search's final bracket, whose ends
-    have inner slopes g_lo < 0 < g_hi and top eigenvectors u_lo, u_hi: with
+
+def _end_state(ends) -> np.ndarray:
+    """Rows of the state R = sum_k |v_k><v_k| a search ended on: each end
+    point's state (its fourth entry) weighted by `_end_weights`."""
+    return np.vstack([math.sqrt(w) * p[3] for w, p in zip(_end_weights(ends), ends)])
+
+
+def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, start: float = 0.0, step: float = 1.0):
+    """t -> (g(t), a subgradient of g at t, a state attaining both, the inner
+    minimizer) for the partial minimum g(t) = min_s lambda_max(base + t first + s second).
+
+    The state comes off the inner search's final bracket, whose ends have
+    inner slopes g_lo < 0 < g_hi and top eigenvectors u_lo, u_hi: with
     w = g_hi / (g_hi - g_lo), the state R = w u_lo u_lo^dag + (1 - w) u_hi
     u_hi^dag has Tr(R second) = 0, so Tr(R first) is a subgradient of g
     (Lewis and Overton 1996). An inner search that ends on one point gives
-    u^dag first u. No eigensolve runs beyond the inner search's. Each inner
+    R = u u^dag. No eigensolve runs beyond the inner search's. Each inner
     search starts from the previous inner root (first from `start`), with a
     first step as long as the last move of that root (floored well above the
     search's tolerance, and kept when the root did not move), since
@@ -438,98 +445,39 @@ def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, st
         root, value, ends = _argmin_by_slope(_top_eigen_slope(base + t * first, second), last, moved)
         if root != last:
             last, moved = root, max(abs(root - last), 1e-12)
-        if len(ends) == 1:
-            return value, slope(ends[0][3]), root
-        (_, _, g_lo, u_lo), (_, _, g_hi, u_hi) = ends
-        w = g_hi / (g_hi - g_lo)
-        return value, w * slope(u_lo) + (1.0 - w) * slope(u_hi), root
+        # The slope is w slope(u_lo) + (1 - w) slope(u_hi), not a sum over
+        # R's rows: the outer end game is sensitive to its rounding.
+        g = sum(w * slope(p[3][0]) for w, p in zip(_end_weights(ends), ends))
+        return value, g, _end_state(ends), root
 
     return fun
 
 
-def _minimize_top_eigenvalue(base: np.ndarray, directions: list, start=None) -> list:
-    """Multipliers y (at most two) minimizing lambda_max(base + y . directions),
-    searched from `start`, a pair (multipliers, first steps), or from 0 with
-    first steps 1.
+def _minimize_top_eigenvalue(base: np.ndarray, directions: list, start=None) -> tuple[float, list, np.ndarray]:
+    """lambda_max(base + y . directions) at the multipliers y (at most two)
+    the search ends on, y, and the rows of a state R with each Tr(R direction)
+    zero to rounding; searched from `start`, a pair (multipliers, first
+    steps), or from 0 with first steps 1.
 
     The function is convex, and so is its partial minimum g(y1) over the last
     multiplier, so a search over y1 of the minimum over y2 reaches the joint
     minimum. Both searches are `_argmin_by_slope`; the outer one reads g's
     slope off each inner search's final bracket (`_partial_minimum`), so it
     runs no eigensolve of its own. It ends on its own bracket and tangent-gap
-    rules, and its end points carry their inner roots, so no search runs
-    after it. A sweep starts from the previous grid point's multipliers, with
-    first steps as long as their move from the point before.
+    rules, and its end points carry their inner roots and states, which R
+    mixes as each inner search mixed its eigenvectors, so nothing runs after
+    it. A sweep starts from the previous grid point's multipliers, with first
+    steps as long as their move from the point before.
     """
     start, steps = start or ([0.0] * len(directions), [1.0] * len(directions))
-    if len(directions) < 2:
-        return [_argmin_by_slope(_top_eigen_slope(base, d), y, h)[0] for d, y, h in zip(directions, start, steps)]
-    t, _, ends = _argmin_by_slope(_partial_minimum(base, *directions, start[1], steps[1]), start[0], steps[0])
-    return [t, next(p[3] for p in ends if p[0] == t)]
-
-
-def _nearest_mixture(points: list) -> tuple[list, complex]:
-    """Weights (nonnegative, summing to 1) of the point of the convex hull of
-    `points` (at most three complex numbers) nearest to 0, and that point.
-
-    The nearest point is a vertex, the foot of 0 on an edge, or 0 itself
-    inside the triangle.
-    """
-    n = len(points)
-    mixtures = [[float(i == j) for j in range(n)] for i in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        edge = points[j] - points[i]
-        if edge != 0:
-            t = min(max(-(points[i].conjugate() * edge).real / abs(edge) ** 2, 0.0), 1.0)
-            mixtures.append([1.0 - t if k == i else t if k == j else 0.0 for k in range(n)])
-    if n == 3:
-        a, b, c = points
-        barycentric = [(u.conjugate() * v).imag for u, v in ((b, c), (c, a), (a, b))]
-        area = sum(barycentric)
-        if area != 0 and all(x / area >= 0.0 for x in barycentric):
-            mixtures.append([x / area for x in barycentric])
-    best = min(mixtures, key=lambda w: abs(sum(wi * z for wi, z in zip(w, points))))
-    return best, sum(wi * z for wi, z in zip(best, points))
-
-
-def _top_witness(matrix: np.ndarray, constraints: list) -> tuple[float, np.ndarray]:
-    """Top eigenvalue of `matrix`, and rows v_k with rho = sum_k |v_k><v_k| on
-    its top eigenspace and Tr(rho A) = 0 for each of the (at most two)
-    constraints A, as nearly as that eigenspace allows.
-
-    The top eigenspace U is spanned by every eigenvector whose eigenvalue is
-    within TOP_CLUSTER_TOL * ||matrix|| of the top. A state R of trace 1 on it
-    maps to the point z = Tr(R F1) + i Tr(R F2), F = U^dag A U, and these
-    points fill a convex set whose extreme point in any direction comes from
-    an extreme eigenvector of a combination of the F. Wolfe's method over such
-    points finds the mixture of at most three of them nearest to 0, starting
-    from the top eigenvector. At optimal multipliers 0 is in the set (it is
-    the dual's optimality condition), so the state meets the constraints.
-    """
-    w, vecs = np.linalg.eigh(matrix)
-    top = vecs[:, w >= w[-1] - TOP_CLUSTER_TOL * max(abs(w[0]), abs(w[-1]))][:, ::-1]
-    f1, f2 = ([top.conj().T @ a @ top for a in constraints] + [np.zeros((top.shape[1],) * 2)] * 2)[:2]
-    scale = max(np.abs(f1).max(), np.abs(f2).max())
-
-    def point(x):
-        return (x.conj() @ f1 @ x).real + 1j * (x.conj() @ f2 @ x).real
-
-    atoms = [np.eye(top.shape[1], dtype=top.dtype)[0]]
-    points, weights = [point(atoms[0])], [1.0]
-    nearest = points[0]
-    for _ in range(100):
-        if abs(nearest) <= 1e-13 * scale:
-            break
-        # The point of the set furthest along -nearest: a bottom eigenvector.
-        x = np.linalg.eigh(nearest.real * f1 + nearest.imag * f2)[1][:, 0]
-        more_points = points + [point(x)]
-        more_weights, more_nearest = _nearest_mixture(more_points)
-        if abs(more_nearest) >= abs(nearest):
-            break  # no point of the set is nearer to 0
-        kept = [(a, z, wi) for a, z, wi in zip(atoms + [x], more_points, more_weights) if wi > 0.0]
-        atoms, points, weights = (list(col) for col in zip(*kept))
-        nearest = more_nearest
-    return w[-1], np.sqrt(weights)[:, np.newaxis] * (top @ np.array(atoms).T).T
+    if not directions:
+        top, u = _top_eigenpair(base)
+        return top, [], u[np.newaxis]
+    if len(directions) == 1:
+        t, top, ends = _argmin_by_slope(_top_eigen_slope(base, directions[0]), start[0], steps[0])
+        return top, [t], _end_state(ends)
+    t, top, ends = _argmin_by_slope(_partial_minimum(base, *directions, start[1], steps[1]), start[0], steps[0])
+    return top, [t, next(p[4] for p in ends if p[0] == t)], _end_state(ends)
 
 
 # Inside `_sweep_warm_starts`: per (kind, e_b > 0, e_p' > 0), the multipliers
@@ -584,10 +532,9 @@ def _solve_constrained(
     base, *directions = [white @ m @ white.conj().T for m in [objective] + constraints]
     starts, key = _WARM_STARTS.get(), (kind, observed_eb > 0.0, observed_epp > 0.0)
     last, moves = (None, None) if starts is None else starts.get(key, (None, None))
-    y = _minimize_top_eigenvalue(base, directions, None if moves is None else (last, moves))
+    top, y, local = _minimize_top_eigenvalue(base, directions, None if moves is None else (last, moves))
     if starts is not None:
         starts[key] = (y, None if last is None else [max(abs(a - b), 1e-12) for a, b in zip(y, last)])
-    top, local = _top_witness(base + sum(yi * d for yi, d in zip(y, directions)), directions)
     value = sign * top
 
     # Every state has p_succ <= 1 (I4 x G <= Zden) and e_p >= 0, so a dual
@@ -611,11 +558,12 @@ def minimize_filter_success(
     """Worst-case virtual-filtering success probability at the observed rates.
 
     Returns a certified lower bound on p_succ over attack states consistent
-    with the observed bit and phase error rates (the dual value), plus a
-    witness state from the dual's extreme eigenspace that attains it up to
-    the search's accuracy. `symmetric_attack` restricts Eve to attacks
-    symmetrized over the bit-relabelling group. The witness may be a mixed
-    state (rank up to 3, times 4 when symmetrized).
+    with the observed bit and phase error rates (the dual value), plus the
+    witness state the dual search ended on: it meets the observed rates to
+    rounding, and its p_succ lies within the search's tangent gap of the
+    bound. `symmetric_attack` restricts Eve to attacks symmetrized over the
+    bit-relabelling group. The witness may be a mixed state (up to 4 rows,
+    16 when symmetrized).
     """
     return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "min_psucc")
 

@@ -270,9 +270,9 @@ def read_spec_file(path) -> DetectorSpecFile:
 
 
 def write_spec_file(path, e0, e1, label0: str = "detector0", label1: str = "detector1") -> None:
-    m0 = linalg.as_matrix(e0)
-    m1 = linalg.as_matrix(e1)
-    if m0.shape != m1.shape or m0.shape[0] != m0.shape[1]:
+    # Validated but written as given, since `as_matrix` would drop -0.0 imaginary parts.
+    m0, m1 = np.asarray(e0), np.asarray(e1)
+    if linalg.as_matrix(m0).shape != linalg.as_matrix(m1).shape or m0.shape[0] != m0.shape[1]:
         raise DimensionMismatch("detector spec needs two square matrices of equal size")
     data = (
         b'{\n  "dimension": %d,\n'

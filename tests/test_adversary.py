@@ -35,7 +35,7 @@ from qkd_mismatch.errors import (
     ZeroDenominator,
 )
 
-from conftest import random_efficiency, random_pair, random_unitary
+from conftest import near_singular_pair, random_efficiency, random_pair, random_unitary
 from oracles import mediant_check, optimize_unconstrained_bounds
 
 
@@ -365,8 +365,8 @@ def test_witness_meets_constraints_at_degenerate_optima(demo_pair, demo_filter, 
         for e_pp in (0.0, 0.001, 0.05, 0.5):
             value, witness = solve(demo_pair, demo_filter, e_b, e_pp)
             stats = evaluate_statistics(witness, demo_pair, demo_filter)
-            assert max(abs(stats.e_b - e_b), abs(stats.e_p_prime - e_pp)) <= 1e-6, (e_b, e_pp)
-            assert abs(getattr(stats, field) - value) <= 1e-6, (e_b, e_pp)
+            assert max(abs(stats.e_b - e_b), abs(stats.e_p_prime - e_pp)) <= 1e-12, (e_b, e_pp)
+            assert abs(getattr(stats, field) - value) <= 1e-12, (e_b, e_pp)
 
 
 def test_demo_bounds_eigensolve_budget(demo_pair, demo_filter, monkeypatch):
@@ -393,8 +393,20 @@ def test_demo_witnesses_meet_rates_and_bounds(demo_pair, demo_filter):
         for solve, field in ((minimize_filter_success, "p_succ"), (maximize_phase_error, "e_p")):
             value, witness = solve(demo_pair, demo_filter, e, e)
             stats = evaluate_statistics(witness, demo_pair, demo_filter)
-            assert max(abs(stats.e_b - e), abs(stats.e_p_prime - e)) <= 1e-8, (e, field)
-            assert abs(getattr(stats, field) - value) <= 1e-8, (e, field)
+            assert max(abs(stats.e_b - e), abs(stats.e_p_prime - e)) <= 1e-12, (e, field)
+            assert abs(getattr(stats, field) - value) <= 1e-12, (e, field)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("d", [16, 32])
+def test_near_singular_witness_meets_rates_and_bound(seed, d):
+    # Responses with four eigenvalues at 1e-6, whose whitened operators are
+    # ill-conditioned: the witness still meets the rates and the bound.
+    pair, _, filt = _pair_and_filter(*near_singular_pair(seed, d, 1e-6))
+    value, witness = maximize_phase_error(pair, filt, 0.02, 0.02)
+    stats = evaluate_statistics(witness, pair, filt)
+    assert max(abs(stats.e_b - 0.02), abs(stats.e_p_prime - 0.02)) <= 1e-12
+    assert abs(stats.e_p - value) <= 1e-10
 
 
 def test_sweep_warm_starts_keep_bounds_and_save_eigensolves(demo_pair, demo_filter, monkeypatch):
@@ -438,7 +450,13 @@ def test_bracket_slope_is_a_subgradient_of_the_partial_minimum(top_multiplicity)
     for _ in range(10):
         matrix, _, first, second = _slope_problem(rng, 8, top_multiplicity)
         for y1 in (0.0, 0.3):
-            value, slope, _ = _partial_minimum(matrix, first, second)(y1)
+            value, slope, state, _ = _partial_minimum(matrix, first, second)(y1)
+            # The state is a primal minorant of g: trace 1, on the inner
+            # constraint, and its objective at most g(y1).
+            forms = [np.einsum("ri,ij,rj->", state.conj(), m, state).real
+                     for m in (np.eye(8), second, matrix + y1 * first)]
+            assert abs(forms[0] - 1.0) <= 1e-12 and abs(forms[1]) <= 1e-12
+            assert forms[2] <= value + 1e-12
             for h in (1e-3, 1e-1):
                 for step in (h, -h):
                     assert _partial_minimum(matrix, first, second)(y1 + step)[0] >= value + slope * step - 1e-12

@@ -189,6 +189,18 @@ def test_spec_file_roundtrip_is_bitwise(tmp_path, d):
     assert spec.e1_raw.tobytes() == m1.tobytes()
 
 
+def test_spec_file_keeps_negative_zero_imaginary_parts(tmp_path):
+    # No imaginary part is nonzero, so both inputs validate as real; each
+    # file still holds its input's signs of zero.
+    signed = np.array([[complex(0.5, -0.0), 0.1], [complex(0.1, -0.0), complex(0.4, -0.0)]])
+    assert np.signbit(signed.imag).sum() == 3
+    for m in (signed, signed.real):
+        path = tmp_path / "pair.json"
+        write_spec_file(path, m, m)
+        spec = read_spec_file(path)
+        assert spec.e0_raw.tobytes() == spec.e1_raw.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+
 _ONE_DIM_SPEC = '{{"dimension": {}, "E0": [[[{}, 0.0]]], "E1": [[[0.5, 0.0]]]}}'
 _TWO_DIM_SPEC = '{{"dimension": 2, "E0": {e0}, "E1": {e1}}}'
 
