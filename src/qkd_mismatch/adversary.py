@@ -112,14 +112,6 @@ BASIS = BasisConstants(
     xmm=_projector_half([1, -1, 0, 0]),
 )
 
-# Attack symmetrization: sign flips of the Pauli coefficient axes that swap
-# the bit-0/bit-1 roles in the z and x bases respectively, plus their product.
-_SYMMETRY_GROUP = tuple(
-    np.diag(np.array(signs, dtype=float))
-    for signs in ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, -1, 1), (1, -1, 1, -1))
-)
-
-
 @dataclass(frozen=True)
 class EveState:
     """Rank-r decomposition of the attack operator: rho = sum_k |v_k><v_k|."""
@@ -172,17 +164,14 @@ def _operator_coefficients() -> np.ndarray:
     ])
 
 
-# Symmetrizing an operator over the group acts on its 4x4 factors alone:
-# kron(g, I) kron(P, F) kron(g, I) = kron(g P g, F).
-_COEFFICIENTS = {False: _operator_coefficients()}
-_COEFFICIENTS[True] = sum(g @ _COEFFICIENTS[False] @ g for g in _SYMMETRY_GROUP) / len(_SYMMETRY_GROUP)
+_COEFFICIENTS = _operator_coefficients()
 
 
-def _build_operators(pair: DetectorPair, filter_c: VirtualFilterC, symmetric: bool) -> np.ndarray:
+def _build_operators(pair: DetectorPair, filter_c: VirtualFilterC) -> np.ndarray:
     """The six operators as one read-only (6, 4d, 4d) array."""
     factors = np.stack([pair.e0.matrix, pair.e1.matrix, filter_c.gram])
     n = 4 * pair.dim
-    stacked = np.einsum("kpab,pij->kaibj", _COEFFICIENTS[symmetric], factors).reshape(6, n, n)
+    stacked = np.einsum("kpab,pij->kaibj", _COEFFICIENTS, factors).reshape(6, n, n)
     stacked.setflags(write=False)
     return stacked
 
@@ -218,7 +207,7 @@ def evaluate_statistics(state: EveState, pair: DetectorPair, filter_c: VirtualFi
         raise SingularDetector("statistics need full-rank responses")
     if state.dim != 4 * pair.dim:
         raise DimensionMismatch(f"state dimension {state.dim} != 4 * {pair.dim}")
-    ops = _build_operators(pair, filter_c, symmetric=False)
+    ops = _build_operators(pair, filter_c)
     forms = _state_forms(state.vectors, ops)
     norm2 = float(np.sum(np.abs(state.vectors) ** 2))
     return _stats_from_forms(forms, norm2)
@@ -235,18 +224,6 @@ def mismatch_ratio_bounds(spectrum: MismatchSpectrum) -> tuple[float, float]:
     lo = float(min(d[idx], 1.0 / d[idx]))
     hi = float(max(d[idx], 1.0 / d[idx]))
     return lo, hi
-
-
-def _symmetrized_vectors(vectors: np.ndarray, d: int) -> np.ndarray:
-    reps = [np.kron(g, np.eye(d)) for g in _SYMMETRY_GROUP]
-    scale = 1.0 / math.sqrt(len(reps))
-    return np.vstack([scale * (r @ vectors.T).T for r in reps])
-
-
-def _witness_state(vectors: np.ndarray, pair: DetectorPair, symmetric: bool) -> EveState:
-    if symmetric:
-        return EveState(vectors=_symmetrized_vectors(vectors, pair.dim))
-    return EveState(vectors=vectors)
 
 
 def _validate_observed(observed_eb: float, observed_epp: float) -> None:
@@ -273,11 +250,13 @@ def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the Hermitian `m` and a unit eigenvector for it.
 
     LAPACK's ?syevr/?heevr computes only the requested eigenpair (real
-    arithmetic for a real `m`), which is all the dual search needs.
+    arithmetic for a real `m`), which is all the dual search needs. Its
+    arguments go by position, in the wrapper's order (a, compute_v, range,
+    lower, vl, vu, il, iu): parsing keywords costs about 1 us a call.
     """
     n = m.shape[0]
     evr = scipy.linalg.lapack.zheevr if m.dtype.kind == "c" else scipy.linalg.lapack.dsyevr
-    w, z, found, _, info = evr(m, range="I", il=n, iu=n, lower=1)
+    w, z, found, _, info = evr(m, 1, "I", 1, 0.0, 1.0, n, n)
     if info != 0:
         raise NumericalFailure(f"LAPACK eigensolver failed on a {n}x{n} matrix (info {info})")
     if found != 1:
@@ -288,26 +267,29 @@ def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), z[:, 0]
 
 
-def _quadratic_form(direction: np.ndarray):
-    """u -> u^dag direction u for a Hermitian `direction`."""
+def _hermitian_blas(m: np.ndarray):
+    """SciPy's ?symv/?hemv and ?dot/?dotc for the dtype of `m`: with them,
+    u^dag m u is dot(u, hemv(1.0, m, u, 0.0, None, 0, 1, 0, 1, 1)).real, the
+    arguments by position (alpha, a, x, beta, y, offx, incx, offy, incy,
+    lower) like the eigensolver's.
 
-    # SciPy's BLAS, like the eigensolver: NumPy may link a separate BLAS, and
-    # alternating between the two libraries' thread pools made a complex
-    # d = 16 solve about 12x slower with default threading.
+    SciPy's BLAS, like the eigensolver: NumPy may link a separate BLAS, and
+    alternating between the two libraries' thread pools made a complex d = 16
+    solve about 12x slower with default threading.
+    """
     blas = scipy.linalg.blas
-    hemv, dot = (blas.zhemv, blas.zdotc) if direction.dtype.kind == "c" else (blas.dsymv, blas.ddot)
-    return lambda u: dot(u, hemv(1.0, direction, u, lower=1)).real
+    return (blas.zhemv, blas.zdotc) if m.dtype.kind == "c" else (blas.dsymv, blas.ddot)
 
 
 def _top_eigen_slope(base: np.ndarray, direction: np.ndarray):
-    """t -> (lambda_max(base + t direction), u^dag direction u, u as one row),
-    u a top eigenvector: the value, a subgradient even where eigenvalues
-    cross, and the state |u><u| that attains both."""
-    slope = _quadratic_form(direction)
+    """t -> (lambda_max(base + t direction), u^dag direction u, u), u a unit
+    top eigenvector: the value, a subgradient even where eigenvalues cross,
+    and the state |u><u| that attains both."""
+    hemv, dot = _hermitian_blas(direction)
 
     def fun(t):
         w, u = _top_eigenpair(base + t * direction)
-        return w, slope(u), u[np.newaxis]
+        return w, dot(u, hemv(1.0, direction, u, 0.0, None, 0, 1, 0, 1, 1)).real, u
 
     return fun
 
@@ -316,35 +298,38 @@ def _model_step(lo, lo_prev, hi, hi_prev) -> float:
     """Minimizer over [lo.t, hi.t] of the larger of two models of a convex
     function: each side's tangent, curved by the slope change from that
     side's previous point (None: straight)."""
-
-    def curvature(p, prev):
-        return 0.0 if prev is None else max((p[2] - prev[2]) / (p[0] - prev[0]), 0.0)
-
-    (ta, fa, ga, *_), (tb, fb, gb, *_) = lo, hi
-    ca, cb, w = curvature(lo, lo_prev), curvature(hi, hi_prev), tb - ta
+    ta, fa, ga = lo[0], lo[1], lo[2]
+    tb, fb, gb = hi[0], hi[1], hi[2]
+    ca = 0.0 if lo_prev is None else max((ga - lo_prev[2]) / (ta - lo_prev[0]), 0.0)
+    cb = 0.0 if hi_prev is None else max((gb - hi_prev[2]) / (tb - hi_prev[0]), 0.0)
+    w = tb - ta
     # In s = t - ta: the models cross where a s^2 + b s + c = 0.
     a, b, c = (ca - cb) / 2, ga - gb + cb * w, fa - fb + gb * w - cb * w * w / 2
     if a != 0.0:
         root = -(b + math.copysign(math.sqrt(max(b * b - 4 * a * c, 0.0)), b)) / 2
-        candidates = [root / a, c / root] if root != 0.0 else [-b / (2 * a)]
+        candidates = (root / a, c / root) if root != 0.0 else (-b / (2 * a),)
     else:
-        candidates = [-c / b] if b != 0.0 else []
-    candidates += [-ga / ca] if ca > 0.0 else []
-    candidates += [w - gb / cb] if cb > 0.0 else []
-
-    def larger_model(s):
-        return max(fa + ga * s + ca * s * s / 2, fb + gb * (s - w) + cb * (s - w) ** 2 / 2)
-
-    inside = [s for s in candidates if 0.0 < s < w]
-    return ta + min(inside, key=larger_model) if inside else math.nan
+        candidates = (-c / b,) if b != 0.0 else ()
+    if ca > 0.0:
+        candidates += (-ga / ca,)
+    if cb > 0.0:
+        candidates += (w - gb / cb,)
+    # The first candidate inside the bracket with the lowest larger model.
+    best, lowest = math.nan, None
+    for s in candidates:
+        if 0.0 < s < w:
+            model = max(fa + ga * s + ca * s * s / 2, fb + gb * (s - w) + cb * (s - w) ** 2 / 2)
+            if lowest is None or model < lowest:
+                best, lowest = s, model
+    return ta + best
 
 
 def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float, float, tuple]:
     """Minimizer t of a convex function on [-MULTIPLIER_CAP, MULTIPLIER_CAP],
     its value, and the points the search ended on; `fun(t)` returns (value,
-    subgradient, ...), and each point is (t, *fun(t)). The points are the
-    final bracket's ends (negative slope, positive slope), or one point with a
-    zero slope or at the cap.
+    subgradient, ...), and each point is (t, value, subgradient, ...). The
+    points are the final bracket's ends (negative slope, positive slope), or
+    one point with a zero slope or at the cap.
 
     The bracket grows geometrically downhill from `start`, a guess such as
     the previous root, until the slope changes sign. Inside it each step goes
@@ -364,42 +349,45 @@ def _argmin_by_slope(fun, start: float = 0.0, step: float = 1.0) -> tuple[float,
     to a smooth minimum, whose witness would otherwise miss the rates by the
     bracket's width times the curvature.
     """
-
-    def probe(t):
-        return (t, *fun(t))
-
-    first = probe(start)
-    if first[2] == 0.0:
-        return first[0], first[1], (first,)
-    sign = -math.copysign(1.0, first[2])
+    first = (start, *fun(start))
+    g0 = first[2]
+    if g0 == 0.0:
+        return start, first[1], (first,)
+    sign = -math.copysign(1.0, g0)
     limit = MULTIPLIER_CAP - sign * start  # distance downhill to the cap
     near, near_prev, dist = first, None, min(step, limit)
-    while (far := probe(start + sign * dist if dist < limit else sign * MULTIPLIER_CAP))[2] * first[2] > 0.0:
+    while True:
+        t = start + sign * dist if dist < limit else sign * MULTIPLIER_CAP
+        far = (t, *fun(t))
+        if not far[2] * g0 > 0.0:
+            break
         if dist >= limit:
-            return far[0], far[1], (far,)
+            return t, far[1], (far,)
         near, near_prev, dist = far, near, min(2.0 * dist, limit)
     if far[2] == 0.0:
-        return far[0], far[1], (far,)
+        return t, far[1], (far,)
     # lo has a negative slope, hi a positive one; *_prev is the point before on that side.
     (lo, lo_prev), (hi, hi_prev) = ((near, near_prev), (far, None)) if sign > 0 else ((far, None), (near, near_prev))
-    gaps = []
+    gap_1 = gap_2 = math.inf  # the gaps one and two steps back
     while True:
-        (ta, fa, ga, *_), (tb, fb, gb, *_) = lo, hi
+        ta, fa, ga = lo[0], lo[1], lo[2]
+        tb, fb, gb = hi[0], hi[1], hi[2]
         # By convexity both tangents lie below the function; they meet at its lowest possible value.
         floor = fa + ga * (fb - fa + gb * (ta - tb)) / (ga - gb)
-        gaps.append(min(fa, fb) - floor)
-        if tb - ta <= 1e-14 * max(1.0, abs(ta), abs(tb)) or gaps[-1] <= 2.2e-16 * max(abs(fa), abs(fb)):
+        gap = min(fa, fb) - floor
+        if tb - ta <= 1e-14 * max(1.0, abs(ta), abs(tb)) or gap <= 2.2e-16 * max(abs(fa), abs(fb)):
             if max(fa, fb) <= floor or fa == fb:
                 best = lo if -ga <= gb else hi
             else:
                 best = lo if fa <= fb else hi
             return best[0], best[1], (lo, hi)
         t = _model_step(lo, lo_prev, hi, hi_prev)
-        if not ta < t < tb or len(gaps) > 2 and gaps[-1] > gaps[-3] / 2:
+        if not ta < t < tb or gap > gap_2 / 2:
             t = ta + (tb - ta) / 2
-        p = probe(t)
+        gap_1, gap_2 = gap, gap_1
+        p = (t, *fun(t))
         if p[2] == 0.0:
-            return p[0], p[1], (p,)
+            return t, p[1], (p,)
         if p[2] < 0.0:
             lo, lo_prev = p, lo
         else:
@@ -418,7 +406,8 @@ def _end_weights(ends) -> list:
 
 def _end_state(ends) -> np.ndarray:
     """Rows of the state R = sum_k |v_k><v_k| a search ended on: each end
-    point's state (its fourth entry) weighted by `_end_weights`."""
+    point's state (its fourth entry: a vector, or rows) weighted by
+    `_end_weights`."""
     return np.vstack([math.sqrt(w) * p[3] for w, p in zip(_end_weights(ends), ends)])
 
 
@@ -437,7 +426,7 @@ def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, st
     search's tolerance, and kept when the root did not move), since
     successive roots move less and less.
     """
-    slope = _quadratic_form(first)
+    hemv, dot = _hermitian_blas(first)
     last, moved = start, step
 
     def fun(t):
@@ -447,7 +436,8 @@ def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, st
             last, moved = root, max(abs(root - last), 1e-12)
         # The slope is w slope(u_lo) + (1 - w) slope(u_hi), not a sum over
         # R's rows: the outer end game is sensitive to its rounding.
-        g = sum(w * slope(p[3][0]) for w, p in zip(_end_weights(ends), ends))
+        g = sum(w * dot(p[3], hemv(1.0, first, p[3], 0.0, None, 0, 1, 0, 1, 1)).real
+                for w, p in zip(_end_weights(ends), ends))
         return value, g, _end_state(ends), root
 
     return fun
@@ -508,13 +498,12 @@ def _solve_constrained(
     filter_c: VirtualFilterC,
     observed_eb: float,
     observed_epp: float,
-    symmetric: bool,
     kind: str,
 ) -> tuple[float, EveState]:
     _validate_observed(observed_eb, observed_epp)
     if not pair.full_rank:
         raise SingularDetector("bound optimization needs full-rank responses")
-    ops = _build_operators(pair, filter_c, symmetric=symmetric)
+    ops = _build_operators(pair, filter_c)
     idx = _face(observed_eb, observed_epp, pair.dim)
     zden, ebn, xden, eppn, cc, epn = ops[:, idx[:, np.newaxis], idx]
     constraints = []
@@ -545,7 +534,7 @@ def _solve_constrained(
         raise Infeasible(f"dual value {value:.6g} certifies that no attack state meets the observed rates")
     vectors = np.zeros((local.shape[0], ops.shape[-1]), dtype=complex)
     vectors[:, idx] = local @ white.conj()
-    return float(min(max(value, 0.0), 1.0)), _witness_state(vectors, pair, symmetric)
+    return float(min(max(value, 0.0), 1.0)), EveState(vectors=vectors)
 
 
 def minimize_filter_success(
@@ -553,7 +542,6 @@ def minimize_filter_success(
     filter_c: VirtualFilterC,
     observed_eb: float,
     observed_epp: float,
-    symmetric_attack: bool = False,
 ) -> tuple[float, EveState]:
     """Worst-case virtual-filtering success probability at the observed rates.
 
@@ -561,11 +549,9 @@ def minimize_filter_success(
     with the observed bit and phase error rates (the dual value), plus the
     witness state the dual search ended on: it meets the observed rates to
     rounding, and its p_succ lies within the search's tangent gap of the
-    bound. `symmetric_attack` restricts Eve to attacks symmetrized over the
-    bit-relabelling group. The witness may be a mixed state (up to 4 rows,
-    16 when symmetrized).
+    bound. The witness may be a mixed state (up to 4 rows).
     """
-    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "min_psucc")
+    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, "min_psucc")
 
 
 def maximize_phase_error(
@@ -573,12 +559,11 @@ def maximize_phase_error(
     filter_c: VirtualFilterC,
     observed_eb: float,
     observed_epp: float,
-    symmetric_attack: bool = False,
 ) -> tuple[float, EveState]:
     """Worst-case virtual phase error rate at the observed rates: a certified
     upper bound on e_p, plus a witness state, as in `minimize_filter_success`.
     """
-    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, symmetric_attack, "max_ep")
+    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, "max_ep")
 
 
 def __getattr__(name):

@@ -125,7 +125,7 @@ def optimize_unconstrained_bounds(pair: DetectorPair, filter_c: VirtualFilterC) 
     """
     if not pair.full_rank:
         raise SingularDetector("bound optimization needs full-rank responses")
-    zden, _, _, _, cc, _ = _build_operators(pair, filter_c, symmetric=False)
+    zden, _, _, _, cc, _ = _build_operators(pair, filter_c)
     p_min = scipy.linalg.eigh(cc, zden, eigvals_only=True)[0]
     floor = min(
         scipy.linalg.eigh(filter_c.gram, e.matrix, eigvals_only=True)[0] for e in (pair.e0, pair.e1)

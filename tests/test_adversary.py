@@ -17,7 +17,6 @@ from qkd_mismatch import (
 )
 from qkd_mismatch import adversary
 from qkd_mismatch.adversary import (
-    _SYMMETRY_GROUP,
     BASIS,
     MULTIPLIER_CAP,
     _argmin_by_slope,
@@ -25,6 +24,7 @@ from qkd_mismatch.adversary import (
     _partial_minimum,
     _stats_from_forms,
     _sweep_warm_starts,
+    _top_eigen_slope,
     _top_eigenpair,
 )
 from qkd_mismatch.errors import (
@@ -87,7 +87,7 @@ def test_basis_each_is_half_rank_one_projector():
 # --- operator stack -------------------------------------------------------------
 
 
-def _kron_operators(pair, filter_c, symmetric):
+def _kron_operators(pair, filter_c):
     """The six trace-functional operators built term by term with np.kron."""
     e0, e1, gram = pair.e0.matrix, pair.e1.matrix, filter_c.gram
     b = BASIS
@@ -99,9 +99,6 @@ def _kron_operators(pair, filter_c, symmetric):
         np.kron(np.eye(4), gram),
         np.kron(b.xmp + b.xpm, gram),
     ]
-    if symmetric:
-        reps = [np.kron(g, np.eye(pair.dim)) for g in _SYMMETRY_GROUP]
-        mats = [sum(r @ m @ r for r in reps) / len(reps) for m in mats]
     return np.stack([m.astype(complex) for m in mats])
 
 
@@ -111,11 +108,9 @@ def test_operator_stack_matches_kron_reference(d, real):
     rng = np.random.default_rng(40 + d)
     pair = _random_real_pair(rng, d) if real else random_pair(rng, d)
     filt = compute_filter(mismatch_spectrum(pair), pair)
-    plain = _build_operators(pair, filt, symmetric=False)
-    assert plain.shape == (6, 4 * d, 4 * d) and not plain.flags.writeable
-    np.testing.assert_array_equal(plain, _kron_operators(pair, filt, False))
-    symmetric = _build_operators(pair, filt, symmetric=True)
-    np.testing.assert_allclose(symmetric, _kron_operators(pair, filt, True), rtol=0, atol=1e-15)
+    ops = _build_operators(pair, filt)
+    assert ops.shape == (6, 4 * d, 4 * d) and not ops.flags.writeable
+    np.testing.assert_array_equal(ops, _kron_operators(pair, filt))
 
 
 # --- statistics ---------------------------------------------------------------
@@ -236,14 +231,6 @@ def test_no_mismatch_solves():
     assert p == pytest.approx(1.0, abs=1e-6)
     ep, _ = maximize_phase_error(pair, filt, 0.03, 0.03)
     assert ep == pytest.approx(0.03, abs=1e-4)
-
-
-def test_scalar_symmetric_attack_reproduces_reference():
-    pair, _, filt = _pair_and_filter([[0.8]], [[0.2]])
-    p, _ = minimize_filter_success(pair, filt, 0.02, 0.02, symmetric_attack=True)
-    assert p == pytest.approx(0.4, abs=1e-6)
-    ep, _ = maximize_phase_error(pair, filt, 0.02, 0.02, symmetric_attack=True)
-    assert ep == pytest.approx(0.02, abs=1e-4)
 
 
 def test_phase_error_amplification_capped(demo_pair, demo_spectrum, demo_filter):
@@ -566,8 +553,42 @@ def test_top_eigenpair_repeated_top_eigenvalue(n, complex_):
     assert np.linalg.norm(top.conj().T @ u) >= 1 - 1e-10
 
 
+def _lower_hermitian(m):
+    """The Hermitian matrix that the lower triangle of `m` stores."""
+    lower = np.tril(m, -1)
+    return lower + lower.conj().T + np.diag(m.diagonal().real)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_probe_matches_full_decomposition(n, complex_, monkeypatch):
+    # The probe reads lower triangles only, so noise above the diagonal must
+    # not reach it; and LAPACK must find the (simple) top eigenpair itself,
+    # without the full-decomposition fallback.
+    def no_fallback(m):
+        raise AssertionError("the probe fell back to a full decomposition")
+
+    rng = np.random.default_rng(300 * n + complex_)
+    for _ in range(3):
+        base, direction = (_hermitian(rng, n, complex_) + np.triu(_hermitian(rng, n, complex_), 1)
+                           for _ in range(2))
+        probe = _top_eigen_slope(base, direction)
+        for t in (0.0, 0.37, -2.5):
+            m = _lower_hermitian(base + t * direction)
+            w, v = np.linalg.eigh(m)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", no_fallback)
+                value, slope, u = probe(t)
+            assert u.dtype == base.dtype and u.shape == (n,)
+            assert abs(value - w[-1]) <= 1e-12 * max(1.0, np.abs(w).max())
+            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+            assert abs(np.vdot(v[:, -1], u)) >= 1 - 1e-10
+            exact = np.vdot(u, _lower_hermitian(direction) @ u).real
+            assert abs(slope - exact) <= 1e-12 * max(1.0, np.linalg.norm(direction, 2))
+
+
 def _lapack_evr_returning(found, info):
-    def evr(a, **kwargs):
+    def evr(a, *args, **kwargs):
         return np.zeros(len(a)), np.zeros((len(a), 1)), found, np.zeros(2, dtype=np.int32), info
 
     return evr
