@@ -412,13 +412,15 @@ def _end_state(ends) -> np.ndarray:
 
 
 def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, start: float = 0.0, step: float = 1.0):
-    """t -> (g(t), a subgradient of g at t, a state attaining both, the inner
-    minimizer) for the partial minimum g(t) = min_s lambda_max(base + t first + s second).
+    """t -> (g(t), a subgradient of g at t, the inner search's end points,
+    the inner minimizer) for the partial minimum g(t) = min_s lambda_max(base
+    + t first + s second).
 
-    The state comes off the inner search's final bracket, whose ends have
-    inner slopes g_lo < 0 < g_hi and top eigenvectors u_lo, u_hi: with
-    w = g_hi / (g_hi - g_lo), the state R = w u_lo u_lo^dag + (1 - w) u_hi
-    u_hi^dag has Tr(R second) = 0, so Tr(R first) is a subgradient of g
+    `_end_state` of the end points is a state attaining both, formed only
+    for the outer search's final ends. The inner search's final bracket has
+    ends with inner slopes g_lo < 0 < g_hi and top eigenvectors u_lo, u_hi:
+    with w = g_hi / (g_hi - g_lo), the state R = w u_lo u_lo^dag + (1 - w)
+    u_hi u_hi^dag has Tr(R second) = 0, so Tr(R first) is a subgradient of g
     (Lewis and Overton 1996). An inner search that ends on one point gives
     R = u u^dag. No eigensolve runs beyond the inner search's. Each inner
     search starts from the previous inner root (first from `start`), with a
@@ -438,7 +440,7 @@ def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, st
         # R's rows: the outer end game is sensitive to its rounding.
         g = sum(w * dot(p[3], hemv(1.0, first, p[3], 0.0, None, 0, 1, 0, 1, 1)).real
                 for w, p in zip(_end_weights(ends), ends))
-        return value, g, _end_state(ends), root
+        return value, g, ends, root
 
     return fun
 
@@ -454,10 +456,11 @@ def _minimize_top_eigenvalue(base: np.ndarray, directions: list, start=None) -> 
     minimum. Both searches are `_argmin_by_slope`; the outer one reads g's
     slope off each inner search's final bracket (`_partial_minimum`), so it
     runs no eigensolve of its own. It ends on its own bracket and tangent-gap
-    rules, and its end points carry their inner roots and states, which R
-    mixes as each inner search mixed its eigenvectors, so nothing runs after
-    it. A sweep starts from the previous grid point's multipliers, with first
-    steps as long as their move from the point before.
+    rules, and its end points carry their inner roots and end points. Only
+    the final ends' states are mixed: each inner search's eigenvectors into
+    its state, and those states into R, so nothing else runs after it. A
+    sweep starts from the previous grid point's multipliers, with first steps
+    as long as their move from the point before.
     """
     start, steps = start or ([0.0] * len(directions), [1.0] * len(directions))
     if not directions:
@@ -467,6 +470,7 @@ def _minimize_top_eigenvalue(base: np.ndarray, directions: list, start=None) -> 
         t, top, ends = _argmin_by_slope(_top_eigen_slope(base, directions[0]), start[0], steps[0])
         return top, [t], _end_state(ends)
     t, top, ends = _argmin_by_slope(_partial_minimum(base, *directions, start[1], steps[1]), start[0], steps[0])
+    ends = [(*p[:3], _end_state(p[3]), *p[4:]) for p in ends]
     return top, [t, next(p[4] for p in ends if p[0] == t)], _end_state(ends)
 
 

@@ -44,7 +44,7 @@ class EfficiencyResponse:
         """Per-sample efficiencies (real diagonal of E)."""
         return self.matrix.diagonal().real.copy()
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
         """max(1, ||E||_F), the scale of the relative tolerances on E."""
         return max(1.0, linalg.frobenius(self.matrix))
@@ -59,13 +59,14 @@ class EfficiencyResponse:
 
 def validate_efficiency(raw) -> EfficiencyResponse:
     """Check Hermiticity and the spectrum window [0, 1] to within
-    PSD_RTOL * max(1, ||E||_F); return the response with its eigensystem."""
+    PSD_RTOL * max(1, ||E||_F); return the response with its eigensystem.
+    The matrix is symmetrized and checked once, by `linalg.hermitian_eig`."""
     try:
-        m = linalg.require_hermitian(raw)
+        eig = linalg.hermitian_eig(raw)
     except NotHermitian as exc:
         raise InvalidEfficiency(str(exc)) from exc
-    m.setflags(write=False)
-    e = EfficiencyResponse(matrix=m, eig=linalg.hermitian_eig(m))
+    eig.matrix.setflags(write=False)
+    e = EfficiencyResponse(matrix=eig.matrix, eig=eig)
     w, tol = e.eig.eigenvalues, linalg.PSD_RTOL * e.scale
     if w.min() < -tol or w.max() > 1.0 + tol:
         raise InvalidEfficiency(
@@ -105,14 +106,26 @@ class DetectorPair:
 
 @dataclass(frozen=True)
 class MismatchSpectrum:
-    """Eigen-decomposition U diag(D) U^dag of F0 E1^-1 F0, F0 = E0^(1/2).
+    """The spectrum D of F0 E1^-1 F0, F0 = E0^(1/2), and a factor K of it.
 
     `ratios` holds D_1 >= ... >= D_d > 0, the mode-wise efficiency ratios,
-    and `basis` the orthonormal columns of U.
+    which are all a key rate reads. `factor` is K with K K^dag = F0 E1^-1 F0,
+    and `svd` its full SVD, formed on first use for the one step that needs
+    the basis U of F0 E1^-1 F0 = U diag(D) U^dag: the virtual filter.
     """
 
     ratios: np.ndarray
-    basis: np.ndarray
+    factor: np.ndarray
+
+    @functools.cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, sigma) of one SVD U diag(sigma) W^dag of K. This sigma^2 may
+        differ from `ratios` by rounding; the filter takes U and sigma^2 both
+        from here, so it is built from one consistent decomposition."""
+        basis, sigma, _ = np.linalg.svd(self.factor)
+        basis.setflags(write=False)
+        sigma.setflags(write=False)
+        return basis, sigma
 
 
 def load_pair(e0_raw, e1_raw) -> DetectorPair:
@@ -133,17 +146,19 @@ def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
     """Efficiency-ratio spectrum of the pair; requires both detectors full rank.
 
     K = F0 V1 diag(w1)^-1/2, with E1 = V1 diag(w1) V1^dag, has K K^dag =
-    F0 E1^-1 F0, so its SVD U diag(sigma) W^dag gives D = sigma^2 and the
-    basis U. The rank cutoff keeps sigma far above the SVD's rounding.
+    F0 E1^-1 F0, so its singular values sigma give D = sigma^2. Only they are
+    computed here; the basis U waits for `MismatchSpectrum.svd`. The rank
+    cutoff keeps sigma far above the SVD's rounding.
     """
     if not pair.full_rank:
         raise SingularDetector("mismatch spectrum needs full-rank responses")
     eig1 = pair.e1.eig
-    basis, sigma, _ = np.linalg.svd(pair.e0.root @ (eig1.eigenvectors / np.sqrt(eig1.eigenvalues)))
+    factor = pair.e0.root @ (eig1.eigenvectors / np.sqrt(eig1.eigenvalues))
+    sigma = np.linalg.svd(factor, compute_uv=False)
     ratios = sigma * sigma
     ratios.setflags(write=False)
-    basis.setflags(write=False)
-    return MismatchSpectrum(ratios=ratios, basis=basis)
+    factor.setflags(write=False)
+    return MismatchSpectrum(ratios=ratios, factor=factor)
 
 
 def _nullspace_projector(e: EfficiencyResponse) -> tuple[np.ndarray, np.ndarray]:
@@ -200,12 +215,16 @@ def _matrix_from_pairs(rows, dim: int, name: str) -> np.ndarray:
     if type(rows) is not list or len(rows) != dim or any(type(r) is not list or len(r) != dim for r in rows):
         raise ValueError(f"{name}: expected {dim} rows of {dim} [re, im] entries")
     cells = list(itertools.chain.from_iterable(rows))
-    if any(type(cell) is not list or len(cell) != 2 for cell in cells):
-        raise ValueError(f"{name}: entries must be [re, im] pairs of numbers")
+    # Whole-list passes at C speed. A cell of length 2 that is no list (a
+    # string, an object) puts strings in `flat`; JSON strings, booleans and
+    # null are not numbers.
     try:
-        arr = np.fromiter(itertools.chain.from_iterable(cells), float, 2 * dim * dim)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name}: entries must be [re, im] pairs of numbers ({exc})") from exc
+        flat = list(itertools.chain.from_iterable(cells)) if set(map(len, cells)) == {2} else None
+    except TypeError:  # a number or null has no length
+        flat = None
+    if flat is None or not set(map(type, flat)) <= {float, int}:
+        raise ValueError(f"{name}: entries must be [re, im] pairs of numbers")
+    arr = np.fromiter(flat, float, 2 * dim * dim)
     return arr.view(complex).reshape(dim, dim)  # exact: re + 1j * im would turn -0.0 into 0.0
 
 
@@ -237,6 +256,25 @@ def _label(doc: dict, key: str, default: str) -> str:
 
 
 def read_spec_file(path) -> DetectorSpecFile:
+    """Read a detector spec (schema above); a malformed one raises ValueError.
+
+    Matrix entries must be JSON numbers. The cyclic garbage collector is
+    paused while the parse tree (a list per matrix entry) is alive, and
+    left as it was found: collections would only traverse the tree, which
+    holds no cycles, and promote it to older generations.
+    """
+    import gc  # builtin; imported here so that `import qkd_mismatch.cli` loads the same modules
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_spec(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_spec(path) -> DetectorSpecFile:
     # Imported on first use, here, in the writer and in `cli._emit_json`: it
     # pulls in `uuid` and `zoneinfo`, which a plain `characterize` (no spec
     # file, no --json) should not pay for at start-up.

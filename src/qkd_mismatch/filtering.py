@@ -68,12 +68,14 @@ class NoiselessRate:
 
 
 def compute_filter(spectrum: MismatchSpectrum, pair: DetectorPair) -> VirtualFilterC:
-    """Build the optimal contraction C for a full-rank pair, with F0 = E0^(1/2)."""
+    """Build the optimal contraction C for a full-rank pair, with F0 = E0^(1/2),
+    taking U and D both from the one full SVD `spectrum.svd`."""
     if not pair.full_rank:
         raise SingularDetector("virtual filter needs full-rank responses")
-    d = spectrum.ratios
+    basis, sigma = spectrum.svd
+    d = sigma * sigma
     scale = np.sqrt(np.minimum(1.0 / d, 1.0))
-    c = (scale[:, np.newaxis] * spectrum.basis.conj().T) @ pair.e0.root
+    c = (scale[:, np.newaxis] * basis.conj().T) @ pair.e0.root
     gram = c.conj().T @ c
     gram = 0.5 * (gram + gram.conj().T)
 

@@ -40,7 +40,8 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def require_hermitian(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
-    """Return the symmetrized matrix, raising NotHermitian beyond tolerance."""
+    """Return the symmetrized matrix, raising NotHermitian beyond tolerance.
+    It is float64 when its imaginary parts symmetrize to zero."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"square matrix required, got shape {m.shape}")
@@ -48,19 +49,23 @@ def require_hermitian(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
     defect = frobenius(m - m.conj().T)
     if defect > rtol * scale:
         raise NotHermitian(f"symmetry defect {defect:.3e} exceeds {rtol * scale:.3e}")
-    return 0.5 * (m + m.conj().T)
+    h = 0.5 * (m + m.conj().T)
+    return h.real.copy() if h.dtype.kind == "c" and not h.imag.any() else h
 
 
 @dataclass(frozen=True)
 class HermitianEigenSystem:
-    """Eigenvalues in descending order and the matching unitary column basis."""
+    """The symmetrized matrix, its eigenvalues in descending order and the
+    matching unitary column basis."""
 
+    matrix: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
 def hermitian_eig(a) -> HermitianEigenSystem:
-    """Eigendecompose a Hermitian matrix, in real arithmetic when it is real.
+    """Check and symmetrize a Hermitian matrix (`require_hermitian`), then
+    eigendecompose it, in real arithmetic when it is real.
 
     Returns eigenvalues in descending order and a unitary basis checked to
     reconstruct the matrix. Column phases, and the basis inside a group of
@@ -81,7 +86,7 @@ def hermitian_eig(a) -> HermitianEigenSystem:
         raise NumericalFailure("eigendecomposition reconstruction error too large")
     if frobenius(v.conj().T @ v - np.eye(m.shape[0])) > RECONSTRUCTION_RTOL:
         raise NumericalFailure("eigenvector basis is not unitary to tolerance")
-    return HermitianEigenSystem(eigenvalues=w, eigenvectors=v)
+    return HermitianEigenSystem(matrix=m, eigenvalues=w, eigenvectors=v)
 
 
 def sqrt_from_eig(eig: HermitianEigenSystem, tol: float) -> np.ndarray:
@@ -99,5 +104,5 @@ def sqrt_from_eig(eig: HermitianEigenSystem, tol: float) -> np.ndarray:
 
 def principal_sqrt(a) -> np.ndarray:
     """Principal (Hermitian PSD) square root, as in `sqrt_from_eig`."""
-    m = require_hermitian(a)
-    return sqrt_from_eig(hermitian_eig(m), PSD_RTOL * max(1.0, frobenius(m)))
+    eig = hermitian_eig(a)
+    return sqrt_from_eig(eig, PSD_RTOL * max(1.0, frobenius(eig.matrix)))

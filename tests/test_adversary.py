@@ -21,6 +21,7 @@ from qkd_mismatch.adversary import (
     MULTIPLIER_CAP,
     _argmin_by_slope,
     _build_operators,
+    _end_state,
     _partial_minimum,
     _stats_from_forms,
     _sweep_warm_starts,
@@ -437,7 +438,8 @@ def test_bracket_slope_is_a_subgradient_of_the_partial_minimum(top_multiplicity)
     for _ in range(10):
         matrix, _, first, second = _slope_problem(rng, 8, top_multiplicity)
         for y1 in (0.0, 0.3):
-            value, slope, state, _ = _partial_minimum(matrix, first, second)(y1)
+            value, slope, ends, _ = _partial_minimum(matrix, first, second)(y1)
+            state = _end_state(ends)
             # The state is a primal minorant of g: trace 1, on the inner
             # constraint, and its objective at most g(y1).
             forms = [np.einsum("ri,ij,rj->", state.conj(), m, state).real

@@ -97,6 +97,26 @@ def test_each_command_builds_the_spectrum_once(monkeypatch, capsys, demo_spec, a
     assert code == 0 and calls == [2]
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["attack", "--n", "1000"], [False]), (["sweep", "--bounds-only", "--steps", "3"], [False]),
+     (["analyze"], [False, True]), (["sweep", "--steps", "3"], [False, True])],
+    ids=["attack", "sweep-bounds-only", "analyze", "sweep-optimized"],
+)
+def test_only_the_filter_forms_singular_vectors(monkeypatch, capsys, demo_spec, argv, expected):
+    # The ratios D need singular values only; the filter's basis U needs the full SVD.
+    compute_uv = []
+    original = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        compute_uv.append(kwargs.get("compute_uv", True))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    code, _, _ = run_cli(capsys, argv[0], "--spec", demo_spec, *argv[1:])
+    assert code == 0 and compute_uv == expected
+
+
 @pytest.mark.parametrize("extra, expected", [(["--bounds-only"], 0), ([], 1)], ids=["bounds-only", "optimized"])
 def test_sweep_builds_the_filter_only_for_optimized_columns(monkeypatch, capsys, demo_spec, extra, expected):
     calls = []
@@ -154,6 +174,14 @@ def test_analyze_malformed_spec_ends_in_one_error_line(capsys, tmp_path, doc):
     code, out, err = run_cli(capsys, "analyze", "--spec", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: detector spec ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", ['"0.5"', "true", "null"])
+def test_analyze_rejects_matrix_entries_that_are_not_numbers(capsys, tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"dimension": 1, "E0": [[[{entry}, 0.0]]], "E1": [[[0.5, 0.0]]]}}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--spec", str(path))
+    assert (code, out, err) == (1, "", "error: E0: entries must be [re, im] pairs of numbers\n")
 
 
 def _parse_sweep(text):

@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 from pathlib import Path
@@ -19,7 +20,7 @@ from qkd_mismatch import (
     swap_detectors,
     write_spec_file,
 )
-from qkd_mismatch import detectors
+from qkd_mismatch import detectors, linalg
 from qkd_mismatch.detectors import RANK_RTOL, validate_efficiency
 from qkd_mismatch.errors import DimensionMismatch, InvalidEfficiency, SingularDetector
 from qkd_mismatch.linalg import frobenius, principal_sqrt
@@ -60,9 +61,12 @@ def test_load_pair_rejects_bad_inputs():
 
 def test_demo_spectrum_matches_reported_ratios(demo_spectrum):
     np.testing.assert_allclose(demo_spectrum.ratios, [3.03, 0.356], atol=0.01)
-    # decomposition reconstructs F0 (F1^dag F1)^-1 F0^dag
-    d, u = demo_spectrum.ratios, demo_spectrum.basis
+    # the filter's decomposition U diag(sigma^2) U^dag reconstructs F0 E1^-1 F0
+    u, sigma = demo_spectrum.svd
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(sigma * sigma, demo_spectrum.ratios, rtol=1e-14, atol=0)
+    f0 = principal_sqrt(DEMO_E0)
+    np.testing.assert_allclose((u * sigma**2) @ u.conj().T, f0 @ np.linalg.inv(DEMO_E1) @ f0, atol=1e-12)
 
 
 def test_equal_detectors_have_unit_ratios():
@@ -232,11 +236,22 @@ _TWO_DIM_SPEC = '{{"dimension": 2, "E0": {e0}, "E1": {e1}}}'
         (_TWO_DIM_SPEC.format(e0="[[[0.5, 0], [0, 0]], [[0, 0], 0.5]]", e1="[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"),
          "E0: entries must be [re, im] pairs of numbers"),
         (_ONE_DIM_SPEC.format("2", "0.5"), "E0: expected 2 rows of 2 [re, im] entries"),
+        (_ONE_DIM_SPEC.format("1", '"0.5"'), "E0: entries must be [re, im] pairs of numbers"),
+        (_ONE_DIM_SPEC.format("1", "true"), "E0: entries must be [re, im] pairs of numbers"),
+        (_ONE_DIM_SPEC.format("1", "null"), "E0: entries must be [re, im] pairs of numbers"),
+        # eight numbers in all, as four [re, im] pairs would hold
+        (_TWO_DIM_SPEC.format(e0="[[[0.5, 0], [0, 0]], [[1], [2, 3, 4]]]", e1="[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"),
+         "E0: entries must be [re, im] pairs of numbers"),
+        # cells of length 2 that are no [re, im] pair
+        ('{"dimension": 1, "E0": [[{"re": 0.5, "im": 0.0}]], "E1": [[[0.5, 0.0]]]}',
+         "E0: entries must be [re, im] pairs of numbers"),
+        ('{"dimension": 1, "E0": [["05"]], "E1": [[[0.5, 0.0]]]}', "E0: entries must be [re, im] pairs of numbers"),
     ],
     ids=["array", "string", "dim-null", "dim-1e400", "dim-1.9", "dim-true", "dim-string", "dim-0",
          "entry-object", "entry-overflow", "deep-nesting", "deep-nesting-entry", "deep-nesting-dim",
          "entry-nan-literal", "entry-infinity-literal", "entry-minus-infinity-literal", "trailing-bracket",
-         "byte-order-mark", "ragged-row", "three-element-entry", "bare-number-entry", "wrong-dimension"],
+         "byte-order-mark", "ragged-row", "three-element-entry", "bare-number-entry", "wrong-dimension",
+         "entry-string", "entry-true", "entry-null", "entries-1-and-3", "two-key-object-cell", "two-char-string-cell"],
 )
 def test_malformed_spec_file_raises_value_error(tmp_path, doc, message):
     path = tmp_path / "bad.json"
@@ -244,6 +259,43 @@ def test_malformed_spec_file_raises_value_error(tmp_path, doc, message):
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         read_spec_file(path)
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("doc", [_ONE_DIM_SPEC.format("1", 0.5), _ONE_DIM_SPEC.format("1", "true"), "{"],
+                         ids=["good", "bad-entry", "bad-json"])
+def test_spec_reader_leaves_the_collector_as_it_found_it(tmp_path, doc, enabled):
+    path = tmp_path / "spec.json"
+    path.write_text(doc, encoding="utf-8")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        try:
+            read_spec_file(path)
+        except ValueError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_spec_reader_runs_no_collection(tmp_path):
+    path = tmp_path / "spec.json"
+    e = random_efficiency(np.random.default_rng(5), 40)
+    write_spec_file(path, e, e)
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        read_spec_file(path)
+    finally:
+        gc.callbacks.remove(record)
+    assert starts == []
 
 
 @pytest.mark.parametrize("label, shown", [("null", "null"), ("[1, 2]", "list"), ('{"a": "b"}', "dict"), ("7", "7")])
@@ -468,7 +520,7 @@ def test_real_pair_stays_real_and_matches_its_complex_image():
             pair = load_pair(*inputs)
             spectrum = mismatch_spectrum(pair)
             filt = compute_filter(spectrum, pair)
-            for a in (pair.e0.matrix, pair.e1.matrix, pair.e0.root, pair.e1.root, spectrum.basis, filt.gram):
+            for a in (pair.e0.matrix, pair.e1.matrix, pair.e0.root, pair.e1.root, spectrum.svd[0], filt.gram):
                 assert a.dtype == dtype
             results.append((spectrum.ratios, filt.validity_margin))
         for ratios, margin in results[1:]:
@@ -493,6 +545,23 @@ def test_load_pair_matches_separate_validation_root_and_rank():
             np.testing.assert_array_equal(e.matrix, validate_efficiency(raw).matrix)
             assert e.root.tobytes() == principal_sqrt(e.matrix).tobytes() == principal_sqrt(raw).tobytes()
             assert full == _eigvalsh_full_rank(e.matrix)
+
+
+def test_validation_checks_each_matrix_once(monkeypatch):
+    calls = []
+    original = linalg.require_hermitian
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "require_hermitian", counting)
+    rng = np.random.default_rng(6)
+    validate_efficiency(random_efficiency(rng, 4))
+    assert calls == [(4, 4)]
+    calls.clear()
+    load_pair(random_efficiency(rng, 3), random_efficiency(rng, 3))
+    assert calls == [(3, 3)] * 2
 
 
 @pytest.mark.parametrize("factor, full", [(0.99, False), (1.01, True)])

@@ -40,7 +40,7 @@ def _rephased(eig, rng):
     for value in np.unique(w):
         group = np.flatnonzero(w == value)
         order[group] = rng.permutation(group)
-    return HermitianEigenSystem(eigenvalues=w, eigenvectors=v[:, order])
+    return HermitianEigenSystem(matrix=eig.matrix, eigenvalues=w, eigenvectors=v[:, order])
 
 
 def _basis_dependent_products():
