@@ -228,7 +228,7 @@ def cmd_characterize(args) -> int:
         raise QkdMismatchError(f"--bandwidth-ghz must be finite, got {args.bandwidth_ghz}")
     gate = sample_grid(args.bandwidth_ghz * 1e9, start_ns * 1e-9, end_ns * 1e-9)
     build = diagonal_only_response if args.diagonal_only else discretize_response
-    # load_pair reuses the eigensystem each response was validated from.
+    # load_pair takes the validated responses as they are.
     pair = load_pair(*(build(read_response_csv(path), gate) for path in (args.csv0, args.csv1)))
 
     if args.out:

@@ -3,10 +3,10 @@
 A detector with a matrix-valued efficiency response clicks on an auxiliary
 input state rho with probability Tr(rho E), where E is a d x d Hermitian
 matrix with 0 <= E <= I. The pair of responses (E0, E1) for the bit-0 and
-bit-1 detectors determines the mismatch spectrum: with F0 the principal
-square root of E0, the eigenvalues D_1..D_d of F0 E1^-1 F0, which are the
-per-mode efficiency ratios between the detectors and drive every key-rate
-formula in this package.
+bit-1 detectors determines the mismatch spectrum: the eigenvalues D_1..D_d
+of E1^-1 E0, which are the per-mode efficiency ratios between the detectors
+and drive every key-rate formula in this package. With Cholesky factors
+E_i = L_i L_i^dag they are the squared singular values of L1^-1 L0.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidEfficiency, NotHermitian, SingularDetector
+from .errors import DimensionMismatch, InvalidEfficiency, NotHermitian, NumericalFailure, SingularDetector
 
 # Eigenvalues below this relative cutoff count as zero when flagging rank.
 RANK_RTOL = 1e-10
@@ -29,11 +29,13 @@ NULLSPACE_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EfficiencyResponse:
-    """Validated d x d efficiency matrix E with 0 <= E <= I, the eigensystem
-    it was validated from, and its principal square root, formed on first use."""
+    """Validated d x d efficiency matrix E with 0 <= E <= I, its eigenvalues
+    in descending order, and its lower Cholesky factor L (E = L L^dag), which
+    is None exactly when E is rank deficient."""
 
     matrix: np.ndarray
-    eig: linalg.HermitianEigenSystem
+    eigenvalues: np.ndarray
+    factor: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -44,40 +46,52 @@ class EfficiencyResponse:
         """Per-sample efficiencies (real diagonal of E)."""
         return self.matrix.diagonal().real.copy()
 
+    @property
+    def full_rank(self) -> bool:
+        return self.factor is not None
+
     @functools.cached_property
     def scale(self) -> float:
         """max(1, ||E||_F), the scale of the relative tolerances on E."""
         return max(1.0, linalg.frobenius(self.matrix))
 
     @functools.cached_property
-    def root(self) -> np.ndarray:
-        """The principal square root F of E (E = F F), from `eig`."""
-        f = linalg.sqrt_from_eig(self.eig, linalg.PSD_RTOL * self.scale)
-        f.setflags(write=False)
-        return f
+    def eig(self) -> linalg.HermitianEigenSystem:
+        """The eigensystem of E, formed on first use: only deflating a
+        singular pair needs eigenvectors."""
+        return linalg.hermitian_eig(self.matrix)
 
 
 def validate_efficiency(raw) -> EfficiencyResponse:
-    """Check Hermiticity and the spectrum window [0, 1] to within
-    PSD_RTOL * max(1, ||E||_F); return the response with its eigensystem.
-    The matrix is symmetrized and checked once, by `linalg.hermitian_eig`."""
+    """Check Hermiticity, then the spectrum window [0, 1] to within
+    PSD_RTOL * max(1, ||E||_F) from the eigenvalues alone; factor a full-rank
+    response by Cholesky, checked to reconstruct E as `linalg.hermitian_eig`
+    checks an eigensystem. The matrix is symmetrized and checked once."""
     try:
-        eig = linalg.hermitian_eig(raw)
+        m = linalg.require_hermitian(raw)
     except NotHermitian as exc:
         raise InvalidEfficiency(str(exc)) from exc
-    eig.matrix.setflags(write=False)
-    e = EfficiencyResponse(matrix=eig.matrix, eig=eig)
-    w, tol = e.eig.eigenvalues, linalg.PSD_RTOL * e.scale
-    if w.min() < -tol or w.max() > 1.0 + tol:
-        raise InvalidEfficiency(
-            f"efficiency eigenvalues [{w.min():.6g}, {w.max():.6g}] outside [0, 1]"
-        )
-    return e
-
-
-def _above_rank_cutoff(e: EfficiencyResponse) -> np.ndarray:
-    """Mask of the eigenvalues of `e` that count as nonzero."""
-    return e.eig.eigenvalues > RANK_RTOL * e.scale
+    try:
+        w = np.linalg.eigvalsh(m)[::-1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
+    norm = linalg.frobenius(m)
+    scale = max(1.0, norm)
+    tol = linalg.PSD_RTOL * scale
+    if w[-1] < -tol or w[0] > 1.0 + tol:
+        raise InvalidEfficiency(f"efficiency eigenvalues [{w[-1]:.6g}, {w[0]:.6g}] outside [0, 1]")
+    factor = None
+    if w[-1] > RANK_RTOL * scale:
+        try:
+            factor = np.linalg.cholesky(m)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"Cholesky factorization failed: {exc}") from exc
+        if linalg.frobenius(factor @ factor.conj().T - m) > linalg.RECONSTRUCTION_RTOL * (1.0 + norm):
+            raise NumericalFailure("Cholesky factor reconstruction error too large")
+        factor.setflags(write=False)
+    m.setflags(write=False)
+    w.setflags(write=False)
+    return EfficiencyResponse(matrix=m, eigenvalues=w, factor=factor)
 
 
 @dataclass(frozen=True)
@@ -91,27 +105,28 @@ class DetectorPair:
     def dim(self) -> int:
         return self.e0.dim
 
-    @functools.cached_property
+    @property
     def full_rank0(self) -> bool:
-        return bool(_above_rank_cutoff(self.e0).all())
+        return self.e0.full_rank
 
-    @functools.cached_property
+    @property
     def full_rank1(self) -> bool:
-        return bool(_above_rank_cutoff(self.e1).all())
+        return self.e1.full_rank
 
     @property
     def full_rank(self) -> bool:
-        return self.full_rank0 and self.full_rank1
+        return self.e0.full_rank and self.e1.full_rank
 
 
 @dataclass(frozen=True)
 class MismatchSpectrum:
-    """The spectrum D of F0 E1^-1 F0, F0 = E0^(1/2), and a factor K of it.
+    """The spectrum D of E1^-1 E0 and a factor K of it.
 
     `ratios` holds D_1 >= ... >= D_d > 0, the mode-wise efficiency ratios,
-    which are all a key rate reads. `factor` is K with K K^dag = F0 E1^-1 F0,
-    and `svd` its full SVD, formed on first use for the one step that needs
-    the basis U of F0 E1^-1 F0 = U diag(D) U^dag: the virtual filter.
+    which are all a key rate reads. `factor` is K = (L1^-1 L0)^dag, with
+    K K^dag = L0^dag E1^-1 L0 similar to E1^-1 E0, and `svd` its full SVD,
+    formed on first use for the one step that needs the basis U of
+    L0^dag E1^-1 L0 = U diag(D) U^dag: the virtual filter.
     """
 
     ratios: np.ndarray
@@ -145,15 +160,14 @@ def swap_detectors(pair: DetectorPair) -> DetectorPair:
 def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
     """Efficiency-ratio spectrum of the pair; requires both detectors full rank.
 
-    K = F0 V1 diag(w1)^-1/2, with E1 = V1 diag(w1) V1^dag, has K K^dag =
-    F0 E1^-1 F0, so its singular values sigma give D = sigma^2. Only they are
-    computed here; the basis U waits for `MismatchSpectrum.svd`. The rank
-    cutoff keeps sigma far above the SVD's rounding.
+    K = (L1^-1 L0)^dag, from the Cholesky factors E_i = L_i L_i^dag, has
+    K K^dag = L0^dag E1^-1 L0, so its singular values sigma give D = sigma^2.
+    Only they are computed here; the basis U waits for `MismatchSpectrum.svd`.
+    The rank cutoff keeps sigma far above the SVD's rounding.
     """
     if not pair.full_rank:
         raise SingularDetector("mismatch spectrum needs full-rank responses")
-    eig1 = pair.e1.eig
-    factor = pair.e0.root @ (eig1.eigenvectors / np.sqrt(eig1.eigenvalues))
+    factor = np.linalg.solve(pair.e1.factor, pair.e0.factor).conj().T
     sigma = np.linalg.svd(factor, compute_uv=False)
     ratios = sigma * sigma
     ratios.setflags(write=False)
@@ -162,8 +176,9 @@ def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
 
 
 def _nullspace_projector(e: EfficiencyResponse) -> tuple[np.ndarray, np.ndarray]:
-    """Return (null projector, range basis columns) of `e` at the rank cutoff."""
-    keep = _above_rank_cutoff(e)
+    """Return (null projector, range basis columns) of `e` at the rank cutoff
+    that `validate_efficiency` flagged its rank with."""
+    keep = e.eigenvalues > RANK_RTOL * e.scale
     v_range = e.eig.eigenvectors[:, keep]
     v_null = e.eig.eigenvectors[:, ~keep]
     return v_null @ v_null.conj().T, v_range

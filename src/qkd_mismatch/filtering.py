@@ -3,17 +3,20 @@
 The security argument equips the receiver with a *virtual* filter that
 inverts the two detector responses and then applies a contraction C chosen so
 the combined operation stays a valid filter while succeeding as often as
-possible. With U diag(D) U^dag the mismatch decomposition, the optimal choice
-is
+possible. With E0 = L0 L0^dag its Cholesky factorization and
+L0^dag E1^-1 L0 = U diag(D) U^dag the mismatch decomposition, the optimal
+choice is
 
-    C = diag(sqrt(min(1/D_i, 1))) U^dag F0,
+    C = diag(sqrt(min(1/D_i, 1))) U^dag L0^dag,
 
 which makes the worst-case success probability over adversarial auxiliary
 states
 
     R = 2 / (1 + max_i max(D_i, 1/D_i)),
 
-the noiseless secret-key rate per detected signal.
+the noiseless secret-key rate per detected signal. Any other factor of E0
+is X = L0 Q with Q unitary; it turns U into Q^dag U and leaves C, and so the
+Gram C^dag C, unchanged (the principal root F0 is one such X).
 """
 
 from __future__ import annotations
@@ -68,14 +71,16 @@ class NoiselessRate:
 
 
 def compute_filter(spectrum: MismatchSpectrum, pair: DetectorPair) -> VirtualFilterC:
-    """Build the optimal contraction C for a full-rank pair, with F0 = E0^(1/2),
-    taking U and D both from the one full SVD `spectrum.svd`."""
+    """Build the optimal contraction C for a full-rank pair from E0's Cholesky
+    factor L0, taking U and D both from the one full SVD `spectrum.svd`.
+    The validity blocks use explicit inverses of E0 and E1, so the
+    certificate does not rest on the factor."""
     if not pair.full_rank:
         raise SingularDetector("virtual filter needs full-rank responses")
     basis, sigma = spectrum.svd
     d = sigma * sigma
     scale = np.sqrt(np.minimum(1.0 / d, 1.0))
-    c = (scale[:, np.newaxis] * basis.conj().T) @ pair.e0.root
+    c = (scale[:, np.newaxis] * basis.conj().T) @ pair.e0.factor.conj().T
     gram = c.conj().T @ c
     gram = 0.5 * (gram + gram.conj().T)
 
@@ -87,7 +92,7 @@ def compute_filter(spectrum: MismatchSpectrum, pair: DetectorPair) -> VirtualFil
     )
     margin = 1.0 - float(top)
     if margin < -VALIDITY_TOL:
-        w0, w1 = pair.e0.eig.eigenvalues[-1], pair.e1.eig.eigenvalues[-1]
+        w0, w1 = pair.e0.eigenvalues[-1], pair.e1.eigenvalues[-1]
         raise NumericalFailure(f"filter validity margin {margin:.3e} below -{VALIDITY_TOL}: the pair is too close "
                                f"to singular for a certified filter (smallest eigenvalues {w0:.3e} and {w1:.3e})")
     gram.setflags(write=False)

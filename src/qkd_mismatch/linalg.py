@@ -89,20 +89,16 @@ def hermitian_eig(a) -> HermitianEigenSystem:
     return HermitianEigenSystem(matrix=m, eigenvalues=w, eigenvectors=v)
 
 
-def sqrt_from_eig(eig: HermitianEigenSystem, tol: float) -> np.ndarray:
-    """Principal square root of the matrix with eigensystem `eig`.
+def principal_sqrt(a) -> np.ndarray:
+    """Principal (Hermitian PSD) square root, from `hermitian_eig`.
 
-    Eigenvalues in [-tol, 0) are clamped to zero; anything lower raises NotPSD.
+    Eigenvalues in [-tol, 0), tol = PSD_RTOL * max(1, ||a||_F), are clamped
+    to zero; anything lower raises NotPSD.
     """
-    w = eig.eigenvalues
+    eig = hermitian_eig(a)
+    w, tol = eig.eigenvalues, PSD_RTOL * max(1.0, frobenius(eig.matrix))
     if np.min(w) < -tol:
         raise NotPSD(f"eigenvalue {np.min(w):.3e} below -{tol:.3e}")
     root = np.sqrt(np.clip(w, 0.0, None))
     s = (eig.eigenvectors * root[np.newaxis, :]) @ eig.eigenvectors.conj().T
     return 0.5 * (s + s.conj().T)
-
-
-def principal_sqrt(a) -> np.ndarray:
-    """Principal (Hermitian PSD) square root, as in `sqrt_from_eig`."""
-    eig = hermitian_eig(a)
-    return sqrt_from_eig(eig, PSD_RTOL * max(1.0, frobenius(eig.matrix)))

@@ -56,6 +56,22 @@ def near_singular_pair(seed, d, eps):
     return raws
 
 
+def count_eigensolves(monkeypatch):
+    """The list every later `np.linalg.eigh` / `eigvalsh` / `svd` call appends its name to."""
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    return calls
+
+
 # A JSON number token, or a run of digits inside a string (compared as text).
 _NUMBER = re.compile(r"-?\d[\d.eE+-]*")
 

@@ -19,7 +19,7 @@ from qkd_mismatch import (
 from qkd_mismatch import cli, detectors, filtering
 from qkd_mismatch.cli import MAX_SWEEP_STEPS, build_parser, main
 
-from conftest import DEMO_E0, DEMO_E1, assert_differs_only_in_float_spelling, near_singular_pair
+from conftest import DEMO_E0, DEMO_E1, assert_differs_only_in_float_spelling, count_eigensolves, near_singular_pair
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -442,20 +442,10 @@ def test_shipped_demo_data_pipeline(tmp_path, capsys):
     assert code == 0 and "D = [3.03, 0.356]" in out
 
 
-def test_characterize_runs_one_eigensolve_per_matrix(tmp_path, capsys, monkeypatch):
-    # One eigh for the gate's pulse overlap and one per response, which both
-    # validates it and factors it.
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+def test_characterize_runs_one_eigh_for_the_pulse_overlap(tmp_path, capsys, monkeypatch):
+    # One eigh for the gate's pulse overlap; each response is validated by
+    # its eigenvalues alone and factored by Cholesky.
+    calls = count_eigensolves(monkeypatch)
     data = Path(__file__).resolve().parent.parent / "data"
     for bandwidth in ("1", "7.75"):
         calls.clear()
@@ -464,7 +454,30 @@ def test_characterize_runs_one_eigensolve_per_matrix(tmp_path, capsys, monkeypat
             "--bandwidth-ghz", bandwidth, "--gate-ns", "0:2", "--out", str(tmp_path / "spec.json"), "--json",
         )
         assert code == 0
-        assert calls == ["eigh"] * 3
+        assert calls == ["eigh", "eigvalsh", "eigvalsh"]
+
+
+def test_full_rank_analyze_forms_no_eigenvectors(capsys, monkeypatch, demo_spec):
+    # Two eigvalsh validate the responses, the SVDs give D and the filter's
+    # basis, and two eigvalsh bound the filter's validity blocks.
+    calls = count_eigensolves(monkeypatch)
+    code, _, _ = run_cli(capsys, "analyze", "--spec", demo_spec, "--json")
+    assert code == 0 and calls == ["eigvalsh"] * 2 + ["svd"] * 2 + ["eigvalsh"] * 2
+
+
+@pytest.mark.parametrize("fault", ["raises", "perturbed"])
+def test_analyze_with_a_failed_cholesky_factor_ends_in_one_error_line(capsys, monkeypatch, demo_spec, fault):
+    original = np.linalg.cholesky
+
+    def faulty(a):
+        if fault == "raises":
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return original(a) + 1e-6 * np.eye(a.shape[0])
+
+    monkeypatch.setattr(np.linalg, "cholesky", faulty)
+    code, out, err = run_cli(capsys, "analyze", "--spec", demo_spec)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Cholesky factor") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_attack_mixed_shift_parsing(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from qkd_mismatch import (
     Knowledge,
+    ZeroRateReason,
     analyze_pair,
     compute_filter,
     deflate_common_nullspace,
@@ -22,13 +23,14 @@ from qkd_mismatch import (
 )
 from qkd_mismatch import detectors, linalg
 from qkd_mismatch.detectors import RANK_RTOL, validate_efficiency
-from qkd_mismatch.errors import DimensionMismatch, InvalidEfficiency, SingularDetector
+from qkd_mismatch.errors import DimensionMismatch, InvalidEfficiency, NumericalFailure, SingularDetector
 from qkd_mismatch.linalg import frobenius, principal_sqrt
 
 from conftest import (
     DEMO_E0,
     DEMO_E1,
     assert_differs_only_in_float_spelling,
+    count_eigensolves,
     random_efficiency,
     random_pair,
     random_unitary,
@@ -41,13 +43,13 @@ def test_load_pair_uniform_quarter():
     pair = load_pair(0.25 * np.eye(2), 0.25 * np.eye(2))
     assert pair.full_rank0 and pair.full_rank1
     for e in (pair.e0, pair.e1):
-        np.testing.assert_allclose(e.root @ e.root, 0.25 * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(e.factor @ e.factor.conj().T, 0.25 * np.eye(2), atol=1e-12)
 
 
 def test_load_pair_demo_matrices(demo_pair):
     assert demo_pair.full_rank
-    for f, e in ((demo_pair.e0.root, DEMO_E0), (demo_pair.e1.root, DEMO_E1)):
-        assert np.linalg.norm(f.conj().T @ f - e) <= 1e-9
+    for f, e in ((demo_pair.e0.factor, DEMO_E0), (demo_pair.e1.factor, DEMO_E1)):
+        assert np.linalg.norm(f @ f.conj().T - e) <= 1e-9
 
 
 def test_load_pair_rejects_bad_inputs():
@@ -61,12 +63,12 @@ def test_load_pair_rejects_bad_inputs():
 
 def test_demo_spectrum_matches_reported_ratios(demo_spectrum):
     np.testing.assert_allclose(demo_spectrum.ratios, [3.03, 0.356], atol=0.01)
-    # the filter's decomposition U diag(sigma^2) U^dag reconstructs F0 E1^-1 F0
+    # the filter's decomposition U diag(sigma^2) U^dag reconstructs L0^dag E1^-1 L0
     u, sigma = demo_spectrum.svd
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(sigma * sigma, demo_spectrum.ratios, rtol=1e-14, atol=0)
-    f0 = principal_sqrt(DEMO_E0)
-    np.testing.assert_allclose((u * sigma**2) @ u.conj().T, f0 @ np.linalg.inv(DEMO_E1) @ f0, atol=1e-12)
+    l0 = np.linalg.cholesky(DEMO_E0)
+    np.testing.assert_allclose((u * sigma**2) @ u.conj().T, l0.conj().T @ np.linalg.inv(DEMO_E1) @ l0, atol=1e-12)
 
 
 def test_equal_detectors_have_unit_ratios():
@@ -117,8 +119,8 @@ def test_ratios_invariant_under_factor_refactoring():
         pair = random_pair(rng, d)
         v0 = random_unitary(rng, d)
         v1 = random_unitary(rng, d)
-        g0 = v0 @ pair.e0.root
-        g1 = v1 @ pair.e1.root
+        g0 = v0 @ principal_sqrt(pair.e0.matrix)
+        g1 = v1 @ principal_sqrt(pair.e1.matrix)
         m = g0 @ np.linalg.inv(g1.conj().T @ g1) @ g0.conj().T
         ratios = np.sort(np.linalg.eigvalsh(m))
         np.testing.assert_allclose(
@@ -138,6 +140,36 @@ def test_commuting_pair_ratios_are_the_eigenvalue_quotients(complex_basis):
     w1[2:6] = rng.uniform(1e-6, 1e-5, 4)
     pair = load_pair(*((q * w) @ q.conj().T for w in (w0, w1)))
     np.testing.assert_allclose(mismatch_spectrum(pair).ratios, np.sort(w0 / w1)[::-1], rtol=1e-8, atol=0)
+
+
+def _hadamard(d):
+    h = np.ones((1, 1))
+    while h.shape[0] < d:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def test_dyadic_hadamard_pair_ratios_are_the_eigenvalue_quotients():
+    # E_i = (H / sqrt d) diag(x_i) (H / sqrt d)^T with x_i multiples of 2^-26:
+    # every entry is a multiple of 2^-32 below 1, so E_i is exact in double
+    # and D = x0 / x1 exactly, with modes of 2^-26 in one detector and 2^-22
+    # in both. The worst relative error is 4.1e-9 at d = 4 (d = 16: 1.8e-9,
+    # d = 64: 1.3e-9); through the principal root and E1's eigensystem it
+    # was 2.8e-8 (at d = 64, and 2.5e-8 at d = 16).
+    worst = 0.0
+    for d in (4, 16, 64):
+        h = _hadamard(d)
+        for seed in range(3):
+            k = np.random.default_rng(seed).integers(2**22, 2**26, size=(2, d))
+            k[0, 0] = k[1, 1] = 1
+            k[:, 2] = 16
+            x = k / 2.0**26
+            raws = [(h * xi) @ h.T / d for xi in x]
+            assert all(np.array_equal(r * 2.0**32, np.round(r * 2.0**32)) for r in raws)
+            want = np.sort(x[0] / x[1])[::-1]
+            got = mismatch_spectrum(load_pair(*raws)).ratios
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+    assert worst <= 1.25e-8
 
 
 def test_diagonal_pair_ratios_are_pointwise():
@@ -459,49 +491,64 @@ def test_read_shipped_indented_spec_file():
     assert spec.e1_raw.tobytes() == DEMO_E1.astype(complex).tobytes()
 
 
-def _count_eigensolves(monkeypatch):
-    """The list every later `np.linalg.eigh` / `eigvalsh` / `svd` call appends its name to."""
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("eigh", "eigvalsh", "svd"):
-        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
-    return calls
-
-
-def test_load_pair_runs_one_eigensolve_per_detector(monkeypatch):
-    calls = _count_eigensolves(monkeypatch)
+def test_validation_runs_one_eigvalsh_per_response_and_no_eigh(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
     rng = np.random.default_rng(3)
     e0, e1 = random_efficiency(rng, 4), random_efficiency(rng, 4)
     load_pair(e0, e1)
-    assert len(calls) == 2
+    assert calls == ["eigvalsh"] * 2
 
 
-def test_load_pair_reuses_the_eigensystem_of_a_validated_response(monkeypatch):
+def test_load_pair_reuses_a_validated_response(monkeypatch):
     rng = np.random.default_rng(3)
     e0, e1 = (validate_efficiency(random_efficiency(rng, 4)) for _ in range(2))
-    calls = _count_eigensolves(monkeypatch)
+    calls = count_eigensolves(monkeypatch)
     pair = load_pair(e0, e1)
-    roots = [pair.e0.root, pair.e1.root]  # formed from the carried eigensystems
     assert calls == []
     assert pair.e0 is e0 and pair.e1 is e1
     again = load_pair(e0.matrix, e1.matrix)
-    assert [f.tobytes() for f in roots] == [again.e0.root.tobytes(), again.e1.root.tobytes()]
+    assert [e.factor.tobytes() for e in (e0, e1)] == [again.e0.factor.tobytes(), again.e1.factor.tobytes()]
 
 
-def test_deflation_reuses_the_eigensystems_of_load_pair(monkeypatch):
-    calls = _count_eigensolves(monkeypatch)
+@pytest.mark.parametrize("d", [1, 2, 7, 32, 64])
+def test_factor_is_lower_triangular_and_reconstructs_the_response(d):
+    rng = np.random.default_rng(d)
+    q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    for raw in (random_efficiency(rng, d), (q * rng.uniform(0.1, 0.95, d)) @ q.T):
+        e = validate_efficiency(raw)
+        assert e.full_rank and not e.factor.flags.writeable
+        np.testing.assert_array_equal(e.factor, np.tril(e.factor))
+        assert frobenius(e.factor @ e.factor.conj().T - e.matrix) <= 1e-14 * frobenius(e.matrix)
+        np.testing.assert_array_equal(e.eigenvalues, np.linalg.eigvalsh(e.matrix)[::-1])
+
+
+def test_deflation_forms_eigenvectors_only_for_singular_responses(monkeypatch):
+    calls = count_eigensolves(monkeypatch)
     analysis = analyze_pair(load_pair(np.diag([0.8, 0.5, 0.0]), np.diag([0.3, 0.6, 0.0])), Knowledge.FULL_MATRICES)
-    # Two in load_pair, two in the reduced load_pair, one SVD for the spectrum.
-    assert calls == ["eigh"] * 4 + ["svd"]
+    # Two in load_pair, one eigensystem per singular response, two in the
+    # reduced load_pair and one SVD for the spectrum.
+    assert calls == ["eigvalsh"] * 2 + ["eigh"] * 2 + ["eigvalsh"] * 2 + ["svd"]
     assert analysis.pair.dim == 2
     np.testing.assert_allclose(np.sort(analysis.spectrum.ratios), [0.5 / 0.6, 0.8 / 0.3], rtol=1e-14)
+    calls.clear()
+    # One singular response cannot share a nullspace: no eigensystem is formed.
+    analysis = analyze_pair(load_pair(np.diag([0.8, 0.5, 0.0]), np.diag([0.3, 0.6, 0.2])), Knowledge.FULL_MATRICES)
+    assert calls == ["eigvalsh"] * 2
+    assert analysis.noiseless.zero_reason is ZeroRateReason.SINGULAR_DETECTOR
+
+
+@pytest.mark.parametrize("fault", ["raises", "perturbed"])
+def test_a_failed_cholesky_factor_ends_in_numerical_failure(monkeypatch, fault):
+    original = np.linalg.cholesky
+
+    def faulty(a):
+        if fault == "raises":
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return original(a) + 1e-6 * np.eye(a.shape[0])
+
+    monkeypatch.setattr(np.linalg, "cholesky", faulty)
+    with pytest.raises(NumericalFailure, match="Cholesky factor"):
+        load_pair(DEMO_E0, DEMO_E1)
 
 
 def test_real_pair_stays_real_and_matches_its_complex_image():
@@ -520,7 +567,7 @@ def test_real_pair_stays_real_and_matches_its_complex_image():
             pair = load_pair(*inputs)
             spectrum = mismatch_spectrum(pair)
             filt = compute_filter(spectrum, pair)
-            for a in (pair.e0.matrix, pair.e1.matrix, pair.e0.root, pair.e1.root, spectrum.svd[0], filt.gram):
+            for a in (pair.e0.matrix, pair.e1.matrix, pair.e0.factor, pair.e1.factor, spectrum.svd[0], filt.gram):
                 assert a.dtype == dtype
             results.append((spectrum.ratios, filt.validity_margin))
         for ratios, margin in results[1:]:
@@ -543,7 +590,10 @@ def test_load_pair_matches_separate_validation_root_and_rank():
         pair = load_pair(*raws)
         for raw, e, full in ((raws[0], pair.e0, pair.full_rank0), (raws[1], pair.e1, pair.full_rank1)):
             np.testing.assert_array_equal(e.matrix, validate_efficiency(raw).matrix)
-            assert e.root.tobytes() == principal_sqrt(e.matrix).tobytes() == principal_sqrt(raw).tobytes()
+            assert principal_sqrt(e.matrix).tobytes() == principal_sqrt(raw).tobytes()
+            assert e.full_rank is full
+            if full:
+                assert e.factor.tobytes() == np.linalg.cholesky(e.matrix).tobytes()
             assert full == _eigvalsh_full_rank(e.matrix)
 
 

@@ -17,6 +17,7 @@ from qkd_mismatch import (
 )
 from qkd_mismatch.errors import DomainError, NumericalFailure, SingularDetector
 from qkd_mismatch.filtering import VALIDITY_TOL
+from qkd_mismatch.linalg import principal_sqrt
 
 from conftest import near_singular_pair, random_efficiency, random_pair
 from oracles import noiseless_rate_bruteforce
@@ -54,8 +55,8 @@ def test_filter_eigenvalue_identities():
         spec = mismatch_spectrum(pair)
         filt = compute_filter(spec, pair)
         for f, expected in (
-            (pair.e0.root, np.minimum(1.0 / spec.ratios, 1.0)),
-            (pair.e1.root, np.minimum(spec.ratios, 1.0)),
+            (principal_sqrt(pair.e0.matrix), np.minimum(1.0 / spec.ratios, 1.0)),
+            (principal_sqrt(pair.e1.matrix), np.minimum(spec.ratios, 1.0)),
         ):
             fi = np.linalg.inv(f)
             block = fi.conj().T @ filt.gram @ fi
@@ -214,3 +215,13 @@ def test_near_singular_pairs_end_in_a_filter_or_a_conditioning_error(eps):
                 certified += 1
     if eps == 1e-6:
         assert certified == 18
+
+
+@pytest.mark.parametrize("d", [8, 16, 32])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pairs_with_eigenvalues_of_1e_7_get_a_certified_filter(seed, d):
+    # The worst margin over these nine pairs is -5.4e-10. Built from the
+    # principal root F0 and E1's eigensystem, eight of them ended in the
+    # "too close to singular" error.
+    analysis = analyze_pair(load_pair(*near_singular_pair(seed, d, 1e-7)), Knowledge.FULL_MATRICES)
+    assert compute_filter(analysis.spectrum, analysis.pair).validity_margin >= -VALIDITY_TOL
