@@ -19,7 +19,7 @@ Worst-case rate certificates come from optimizing over rho. Each constrained
 bound is a linear-fractional program in rho, so the Charnes-Cooper step (fix
 the denominator's trace to 1) turns it into a semidefinite program with two
 linear equalities A1 = EBnum - e_b Zden and A2 = EPPnum - e_p' Xden, whose
-Lagrange dual is an extreme eigenvalue in at most two multipliers y:
+Lagrange dual is an extreme eigenvalue in two multipliers y:
 
   * minimum p_succ:  max_y lambda_min(W (CC - y1 A1 - y2 A2) W),  W = Zden^-1/2;
   * maximum e_p:     min_y lambda_max(V (EPnum + y1 A1 + y2 A2) V), V = CC^-1/2.
@@ -34,11 +34,13 @@ minimizer with Tr(R A2) = 0 (Overton, SIAM J. Matrix Anal. Appl. 1988; Lewis
 and Overton, Acta Numerica 1996). R mixes the top eigenvectors at the two
 ends of the inner search's final bracket, so the outer search runs no
 eigensolve of its own. Along a `sweep` grid each search starts from the
-multipliers the previous grid point ended on. A zero target is handled exactly,
-with no multiplier: e_b = 0 confines rho to span{e1, e4} x C^d and e_p' = 0
-to span{e1, e2} x C^d, so at e_b = e_p' = 0 the bound is the closed-form
-noiseless p_succ = lambda_min(2G, E0 + E1) and e_p = 0. The witness state is
-the search's own, mixed from the states at the ends of its final brackets.
+multipliers the previous grid point ended on. A zero target is handled exactly:
+e_b = 0 confines rho to span{e1, e4} x C^d and e_p' = 0 to span{e1, e2} x C^d,
+on which that target's constraint is exactly the zero matrix, so its slope is
+0 and its multiplier never moves. At e_b = e_p' = 0 the search is one
+eigenpair, the closed-form noiseless p_succ = lambda_min(2G, E0 + E1) and
+e_p = 0. The witness state is the search's own, mixed from the states at the
+ends of its final brackets.
 
 Dropping the constraints leaves one generalized eigenvalue per bound, which
 reproduces the analytic min_i min(D_i, 1/D_i) and max_i max(D_i, 1/D_i) of
@@ -217,7 +219,7 @@ def mismatch_ratio_bounds(spectrum: MismatchSpectrum) -> tuple[float, float]:
     """Analytic worst-case bounds (success-probability floor, phase-error
     amplification ceiling) from the min and max mode-wise efficiency ratios.
 
-    The two are exact reciprocals.
+    The two are reciprocals to rounding: 1/lo and hi may differ in the last bit.
     """
     d = spectrum.ratios
     idx = int(np.argmin(np.minimum(d, 1.0 / d)))
@@ -445,35 +447,6 @@ def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, st
     return fun
 
 
-def _minimize_top_eigenvalue(base: np.ndarray, directions: list, start=None) -> tuple[float, list, np.ndarray]:
-    """lambda_max(base + y . directions) at the multipliers y (at most two)
-    the search ends on, y, and the rows of a state R with each Tr(R direction)
-    zero to rounding; searched from `start`, a pair (multipliers, first
-    steps), or from 0 with first steps 1.
-
-    The function is convex, and so is its partial minimum g(y1) over the last
-    multiplier, so a search over y1 of the minimum over y2 reaches the joint
-    minimum. Both searches are `_argmin_by_slope`; the outer one reads g's
-    slope off each inner search's final bracket (`_partial_minimum`), so it
-    runs no eigensolve of its own. It ends on its own bracket and tangent-gap
-    rules, and its end points carry their inner roots and end points. Only
-    the final ends' states are mixed: each inner search's eigenvectors into
-    its state, and those states into R, so nothing else runs after it. A
-    sweep starts from the previous grid point's multipliers, with first steps
-    as long as their move from the point before.
-    """
-    start, steps = start or ([0.0] * len(directions), [1.0] * len(directions))
-    if not directions:
-        top, u = _top_eigenpair(base)
-        return top, [], u[np.newaxis]
-    if len(directions) == 1:
-        t, top, ends = _argmin_by_slope(_top_eigen_slope(base, directions[0]), start[0], steps[0])
-        return top, [t], _end_state(ends)
-    t, top, ends = _argmin_by_slope(_partial_minimum(base, *directions, start[1], steps[1]), start[0], steps[0])
-    ends = [(*p[:3], _end_state(p[3]), *p[4:]) for p in ends]
-    return top, [t, next(p[4] for p in ends if p[0] == t)], _end_state(ends)
-
-
 # Inside `_sweep_warm_starts`: per (kind, e_b > 0, e_p' > 0), the multipliers
 # the last solve ended on and their move from the solve before (None after the
 # first). A context, not a parameter, so that `cmd_sweep` keeps calling the
@@ -510,22 +483,27 @@ def _solve_constrained(
     ops = _build_operators(pair, filter_c)
     idx = _face(observed_eb, observed_epp, pair.dim)
     zden, ebn, xden, eppn, cc, epn = ops[:, idx[:, np.newaxis], idx]
-    constraints = []
-    if observed_eb > 0.0:
-        constraints.append(ebn - observed_eb * zden)
-    if observed_epp > 0.0:
-        constraints.append(eppn - observed_epp * xden)
 
-    # Both bounds become min_y lambda_max(base + y.A) after whitening by the
-    # Charnes-Cooper denominator (its inverse Cholesky factor serves as W or
-    # V: any W with W norm W^dag = I gives the same eigenvalues); p_succ is
-    # the negated value.
+    # Both bounds become min_y lambda_max(base + y1 first + y2 second) after
+    # whitening by the Charnes-Cooper denominator (its inverse Cholesky factor
+    # serves as W or V: any W with W norm W^dag = I gives the same
+    # eigenvalues); p_succ is the negated value. A zero target's constraint is
+    # exactly zero on the face, so its slope is 0 at every probe and its
+    # multiplier never moves from where the search starts.
     sign, norm, objective = (-1.0, zden, -cc) if kind == "min_psucc" else (1.0, cc, epn)
     white = np.linalg.inv(np.linalg.cholesky(norm))
-    base, *directions = [white @ m @ white.conj().T for m in [objective] + constraints]
+    base, first, second = [white @ m @ white.conj().T
+                           for m in (objective, ebn - observed_eb * zden, eppn - observed_epp * xden)]
+    # Keyed on the face as well as the kind: keying on the kind alone raised
+    # the 3-step demo sweep from 364 to 387 top eigenpairs (and lowered the
+    # 20-step one from 2405 to 2251, its bounds moving by up to 1e-15).
     starts, key = _WARM_STARTS.get(), (kind, observed_eb > 0.0, observed_epp > 0.0)
     last, moves = (None, None) if starts is None else starts.get(key, (None, None))
-    top, y, local = _minimize_top_eigenvalue(base, directions, None if moves is None else (last, moves))
+    (start1, start2), (step1, step2) = ((0.0, 0.0), (1.0, 1.0)) if moves is None else (last, moves)
+    # The outer search's end points carry their inner searches' end points
+    # and roots; only the final ends' states are mixed into the witness.
+    t, top, ends = _argmin_by_slope(_partial_minimum(base, first, second, start2, step2), start1, step1)
+    y = (t, next(p[4] for p in ends if p[0] == t))
     if starts is not None:
         starts[key] = (y, None if last is None else [max(abs(a - b), 1e-12) for a, b in zip(y, last)])
     value = sign * top
@@ -536,6 +514,7 @@ def _solve_constrained(
     infeasible = value > 1.0 + VALIDITY_TOL if kind == "min_psucc" else value < -VALIDITY_TOL
     if infeasible:
         raise Infeasible(f"dual value {value:.6g} certifies that no attack state meets the observed rates")
+    local = _end_state([(*p[:3], _end_state(p[3])) for p in ends])
     vectors = np.zeros((local.shape[0], ops.shape[-1]), dtype=complex)
     vectors[:, idx] = local @ white.conj()
     return float(min(max(value, 0.0), 1.0)), EveState(vectors=vectors)

@@ -36,6 +36,9 @@ from .errors import CoverageError, InvalidGate
 # Response-table knots per block of the smoothing sum: at d = 64 a block's
 # arrays take about 1 MB each, whatever the length of the table.
 _KNOTS_PER_BLOCK = 1024
+# Samples per gate window: at 4096 the d x d pulse overlap and its inverse
+# root take 128 MB each, and a grid finer than that is a typo, not a detector.
+MAX_GRID_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -82,6 +85,13 @@ def sample_grid(bandwidth_hz: float, gate_start_s: float, gate_end_s: float) -> 
         )
     if not (gate_end_s > gate_start_s):
         raise InvalidGate(f"gate end {gate_end_s} must exceed start {gate_start_s}")
+    # Before any division or allocation: 2B may overflow, and d may not fit in memory.
+    n_samples = (gate_end_s - gate_start_s) * (2.0 * bandwidth_hz) + 1.0
+    if not n_samples <= MAX_GRID_SAMPLES:
+        raise InvalidGate(
+            f"gate [{gate_start_s}, {gate_end_s}] s at bandwidth {bandwidth_hz} Hz needs {n_samples:.4g} samples, "
+            f"more than the {MAX_GRID_SAMPLES} supported"
+        )
     spacing = 1.0 / (2.0 * bandwidth_hz)
     n_spacings = (gate_end_s - gate_start_s) / spacing
     d = int(np.floor(n_spacings + 1e-9)) + 1

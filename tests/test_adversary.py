@@ -22,6 +22,7 @@ from qkd_mismatch.adversary import (
     _argmin_by_slope,
     _build_operators,
     _end_state,
+    _face,
     _partial_minimum,
     _stats_from_forms,
     _sweep_warm_starts,
@@ -357,6 +358,36 @@ def test_witness_meets_constraints_at_degenerate_optima(demo_pair, demo_filter, 
             assert abs(getattr(stats, field) - value) <= 1e-12, (e_b, e_pp)
 
 
+@pytest.mark.parametrize("pair_kind, d", [("demo", 2)] + [(k, d) for k in ("real", "complex") for d in (1, 3, 8)])
+def test_zero_target_constraint_is_exactly_zero_on_its_face(demo_pair, demo_filter, pair_kind, d):
+    # The dual search keeps a zero target's multiplier where it starts because
+    # its constraint, and so its slope, is exactly zero on the face.
+    if pair_kind == "demo":
+        pair, filt = demo_pair, demo_filter
+    else:
+        rng = np.random.default_rng(70 + d)
+        pair = _random_real_pair(rng, d) if pair_kind == "real" else random_pair(rng, d)
+        filt = compute_filter(mismatch_spectrum(pair), pair)
+    ops = _build_operators(pair, filt)
+    # EBnum on the e_b = 0 face, EPPnum on the e_p' = 0 face.
+    for observed_eb, observed_epp, numerator in ((0.0, 0.1, 1), (0.1, 0.0, 3)):
+        idx = _face(observed_eb, observed_epp, pair.dim)
+        assert not np.any(ops[numerator][idx[:, np.newaxis], idx])
+
+
+@pytest.mark.parametrize("solve", [minimize_filter_success, maximize_phase_error])
+def test_noiseless_bound_takes_one_eigenpair(demo_pair, demo_filter, solve, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return _top_eigenpair(m)
+
+    monkeypatch.setattr(adversary, "_top_eigenpair", counted)
+    solve(demo_pair, demo_filter, 0.0, 0.0)
+    assert len(calls) == 1
+
+
 def test_demo_bounds_eigensolve_budget(demo_pair, demo_filter, monkeypatch):
     calls = []
 
@@ -371,7 +402,7 @@ def test_demo_bounds_eigensolve_budget(demo_pair, demo_filter, monkeypatch):
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
     # 2037 with a root-bracketing search on the slope alone, 636 with a search
     # on values over the first multiplier, 394 (plus 48 eigensolves for the
-    # outer slopes) with slopes on both levels, 367 (and none for the outer
+    # outer slopes) with slopes on both levels, 362 (and none for the outer
     # slopes) with the outer slope read off the inner bracket.
     assert len(calls) <= 450
 

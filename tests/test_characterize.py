@@ -13,7 +13,7 @@ from qkd_mismatch import (
     sample_grid,
     write_response_csv,
 )
-from qkd_mismatch.characterize import _KNOTS_PER_BLOCK, _gaussian_smoothed
+from qkd_mismatch.characterize import _KNOTS_PER_BLOCK, MAX_GRID_SAMPLES, _gaussian_smoothed
 from qkd_mismatch.errors import CoverageError, InvalidGate
 
 
@@ -51,6 +51,22 @@ def test_sample_grid_invalid():
 def test_sample_grid_rejects_non_finite(bandwidth_hz, start_s, end_s):
     with pytest.raises(InvalidGate, match="finite"):
         sample_grid(bandwidth_hz, start_s, end_s)
+
+
+@pytest.mark.parametrize(
+    "bandwidth_hz, end_s",
+    # 2B overflows; 1e5 and 1e12 GHz over 2 ns; 1 GHz over 1000 s; 1e290 GHz;
+    # one sample more than supported.
+    [(1e308, 2e-9), (1e14, 2e-9), (1e21, 2e-9), (1e9, 1e3), (1e299, 2e-9), (1024e9, 2e-9)],
+)
+def test_sample_grid_rejects_more_samples_than_supported(bandwidth_hz, end_s):
+    with pytest.raises(InvalidGate, match=f"samples, more than the {MAX_GRID_SAMPLES} supported$"):
+        sample_grid(bandwidth_hz, 0.0, end_s)
+
+
+def test_sample_grid_accepts_the_largest_supported_grid():
+    gate = sample_grid(1023.75e9, 0.0, 2e-9)
+    assert gate.d == MAX_GRID_SAMPLES and gate.sample_times_s[-1] == pytest.approx(2e-9)
 
 
 def _assert_flat_quarter_scaled_identity(bandwidth_hz):

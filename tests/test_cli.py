@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -325,6 +327,21 @@ def test_characterize_rejects_non_finite_flags(capsys, bandwidth, gate, flag):
         f"--bandwidth-ghz={bandwidth}", f"--gate-ns={gate}",
     )
     _assert_one_line_flag_error(code, out, err, flag)
+
+
+@pytest.mark.parametrize(
+    "bandwidth, gate",
+    [("1e299", "0:2"), ("100000", "0:2"), ("1e12", "0:2"), ("1", "0:1e12"), ("1e290", "0:2")],
+)
+def test_characterize_absurd_grid_ends_in_one_error_line(capsys, bandwidth, gate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "characterize", str(DATA / "response_det0.csv"), str(DATA / "response_det1.csv"),
+            f"--bandwidth-ghz={bandwidth}", f"--gate-ns={gate}",
+        )
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"error: gate .* needs \S+ samples, more than the 4096 supported\n", err)
 
 
 @pytest.mark.parametrize("shift", ["0:0.5:1", "0:", "x", "0:p"])
