@@ -15,7 +15,6 @@ from .adversary import (
     evaluate_statistics,
     maximize_phase_error,
     minimize_filter_success,
-    mismatch_ratio_bounds,
 )
 from .characterize import (
     ContinuousResponse,
@@ -46,12 +45,12 @@ from .filtering import (
     ZeroRateReason,
     analyze_pair,
     compute_filter,
+    mismatch_ratio_bounds,
     noiseless_rate,
     special_case_rate,
 )
 from .rates import (
     KeyRateReport,
-    RateMethod,
     binary_entropy,
     four_phase_rate,
     noisy_rate,
@@ -74,7 +73,6 @@ __all__ = [
     "Knowledge",
     "MismatchSpectrum",
     "NoiselessRate",
-    "RateMethod",
     "RateStatistics",
     "TimeShiftScenario",
     "VirtualFilterC",

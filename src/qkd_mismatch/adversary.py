@@ -44,7 +44,7 @@ ends of its final brackets.
 
 Dropping the constraints leaves one generalized eigenvalue per bound, which
 reproduces the analytic min_i min(D_i, 1/D_i) and max_i max(D_i, 1/D_i) of
-the mismatch ratios.
+the mismatch ratios (`filtering.mismatch_ratio_bounds`).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import numpy as np
 # do not pay for its import.
 import scipy
 
-from .detectors import DetectorPair, MismatchSpectrum
+from .detectors import DetectorPair
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -213,19 +213,6 @@ def evaluate_statistics(state: EveState, pair: DetectorPair, filter_c: VirtualFi
     forms = _state_forms(state.vectors, ops)
     norm2 = float(np.sum(np.abs(state.vectors) ** 2))
     return _stats_from_forms(forms, norm2)
-
-
-def mismatch_ratio_bounds(spectrum: MismatchSpectrum) -> tuple[float, float]:
-    """Analytic worst-case bounds (success-probability floor, phase-error
-    amplification ceiling) from the min and max mode-wise efficiency ratios.
-
-    The two are reciprocals to rounding: 1/lo and hi may differ in the last bit.
-    """
-    d = spectrum.ratios
-    idx = int(np.argmin(np.minimum(d, 1.0 / d)))
-    lo = float(min(d[idx], 1.0 / d[idx]))
-    hi = float(max(d[idx], 1.0 / d[idx]))
-    return lo, hi
 
 
 def _validate_observed(observed_eb: float, observed_epp: float) -> None:

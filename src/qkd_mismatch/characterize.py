@@ -159,7 +159,9 @@ def _gaussian_smoothed(resp: ContinuousResponse, m: np.ndarray, h: float) -> np.
     for lo in range(0, t.size, _KNOTS_PER_BLOCK):
         block = slice(lo, lo + _KNOTS_PER_BLOCK)
         z = -np.abs(m[:, np.newaxis] - t[np.newaxis, block]) / h
-        tails = z * scipy.special.ndtr(z) + np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+        # A knot far from the grid squares to inf, and exp(-inf) = 0 is the exact limit.
+        with np.errstate(over="ignore"):
+            tails = z * scipy.special.ndtr(z) + np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
         total = total + tails @ kinks[block]
     return resp(m) + h * total
 

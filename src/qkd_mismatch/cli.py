@@ -22,12 +22,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adversary import _sweep_warm_starts, maximize_phase_error, minimize_filter_success, mismatch_ratio_bounds
+from .adversary import _sweep_warm_starts, maximize_phase_error, minimize_filter_success
 from .characterize import diagonal_only_response, discretize_response, read_response_csv, sample_grid
 from .detectors import DetectorPair, load_pair, read_spec_file, write_spec_file
 from .errors import QkdMismatchError
-from .filtering import Analysis, Knowledge, analyze_pair, compute_filter
-from .rates import RateMethod, four_phase_rate, noisy_rate
+from .filtering import Analysis, Knowledge, analyze_pair, compute_filter, mismatch_ratio_bounds
+from .rates import four_phase_rate, noisy_rate
 from .timeshift import TimeShiftScenario, simulate_time_shift
 
 EXIT_OK = 0
@@ -145,7 +145,7 @@ def _sweep_rows(analysis: Analysis, args):
             "e_obs": e,
             "p_succ_bound": p_lo,
             "e_p_bound": ep_bound,
-            "rate_bound": noisy_rate(p_lo, ep_bound, e, RateMethod.NOISY_BOUNDS).rate,
+            "rate_bound": noisy_rate(p_lo, ep_bound, e).rate,
             "rate_4phase": four_phase_rate(e, e).rate,
             "p_succ_opt": None,
             "e_p_opt": None,
@@ -160,9 +160,7 @@ def _sweep_rows(analysis: Analysis, args):
                 row["e_p_opt"] = ep_opt
                 # Both p_succ values are certified lower bounds and both e_p
                 # values certified upper bounds, so the tighter of each holds.
-                row["rate_opt"] = noisy_rate(
-                    max(p_opt, p_lo), min(ep_opt, ep_bound), e, RateMethod.NOISY_OPTIMIZED
-                ).rate
+                row["rate_opt"] = noisy_rate(max(p_opt, p_lo), min(ep_opt, ep_bound), e).rate
             except QkdMismatchError as exc:
                 row["status"] = type(exc).__name__
         rows.append(row)

@@ -22,7 +22,7 @@ class NumericalFailure(QkdMismatchError):
 
 
 class InvalidEfficiency(QkdMismatchError):
-    """Efficiency matrix is not Hermitian or has eigenvalues outside [0, 1]."""
+    """Efficiency matrix has entries too large, is not Hermitian, or has eigenvalues outside [0, 1]."""
 
 
 class SingularDetector(QkdMismatchError):

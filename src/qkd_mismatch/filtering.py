@@ -99,10 +99,23 @@ def compute_filter(spectrum: MismatchSpectrum, pair: DetectorPair) -> VirtualFil
     return VirtualFilterC(gram=gram, validity_margin=margin)
 
 
+def mismatch_ratio_bounds(spectrum: MismatchSpectrum) -> tuple[float, float]:
+    """The extreme efficiency ratios min(D, 1/D) and max(D, 1/D) over all
+    modes: the analytic success-probability floor and phase-error
+    amplification ceiling.
+
+    Rounded division is monotone, so 1/max(D) and 1/min(D) are exactly the
+    extremes of 1/D. The two results are reciprocals to rounding: 1/lo and
+    hi may differ in the last bit.
+    """
+    d = spectrum.ratios
+    low, high = float(d.min()), float(d.max())
+    return min(low, 1.0 / high), max(high, 1.0 / low)
+
+
 def noiseless_rate(spectrum: MismatchSpectrum) -> NoiselessRate:
     """Closed-form worst-case rate 2 / (1 + max_i max(D_i, 1/D_i))."""
-    d = spectrum.ratios
-    limiting = float(max(d.max(), (1.0 / d).max()))
+    _, limiting = mismatch_ratio_bounds(spectrum)
     return NoiselessRate(rate=2.0 / (1.0 + limiting), limiting_ratio=limiting)
 
 

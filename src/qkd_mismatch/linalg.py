@@ -39,16 +39,16 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
-def require_hermitian(a, rtol: float = SYMMETRY_RTOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     """Return the symmetrized matrix, raising NotHermitian beyond tolerance.
     It is float64 when its imaginary parts symmetrize to zero."""
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"square matrix required, got shape {m.shape}")
-    scale = max(1.0, frobenius(m))
+    tol = SYMMETRY_RTOL * max(1.0, frobenius(m))
     defect = frobenius(m - m.conj().T)
-    if defect > rtol * scale:
-        raise NotHermitian(f"symmetry defect {defect:.3e} exceeds {rtol * scale:.3e}")
+    if defect > tol:
+        raise NotHermitian(f"symmetry defect {defect:.3e} exceeds {tol:.3e}")
     h = 0.5 * (m + m.conj().T)
     return h.real.copy() if h.dtype.kind == "c" and not h.imag.any() else h
 

@@ -1,31 +1,23 @@
-"""Key-rate assembly: binary entropy, the noisy rate formula, the four-phase
-detector-switching rate, and the scalar-efficiency reference formulas.
+"""Key-rate assembly: binary entropy and the one rate formula.
 
-All rates are secret bits per detected signal. The general noisy rate is
+All rates are secret bits per detected signal, of the Shor-Preskill shape
 
-    R = p_succ (1 - H2(e_p)) - H2(e_b),
+    R = p_succ (1 - H2(min(e_p, 1/2))) - c H2(e_b),
 
-split into a privacy-amplification yield K_PA = p_succ (1 - H2(e_p)) and an
-error-correction cost K_EC = H2(e_b). Randomly switching the two detectors'
-bit assignments per signal removes the mismatch penalty entirely, restoring
-R = 1 - H2(e_p) - H2(e_b) with unit filtering probability.
+a privacy-amplification yield K_PA less an error-correction cost K_EC. A
+phase-error bound past 1/2 certifies nothing, so every rate is zero there.
+The general noisy rate has c = 1. The four-phase detector-switching rate,
+which removes the mismatch penalty entirely, is the formula at p_succ = 1.
+Two scalar efficiencies give p_succ = 2 min / sum, and discarding data to
+equalize them also scales the error-correction cost by it (c = p_succ).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-
-
-class RateMethod(enum.Enum):
-    NOISELESS = "noiseless"
-    NOISY_OPTIMIZED = "noisy-optimized"
-    NOISY_BOUNDS = "noisy-bounds"
-    FOUR_PHASE = "four-phase"
-    SCALAR_DISCARDING = "scalar-discarding"
 
 
 @dataclass(frozen=True)
@@ -43,7 +35,6 @@ class KeyRateReport:
     e_b: float
     k_pa_fraction: float
     k_ec_fraction: float
-    method: RateMethod
 
 
 def binary_entropy(x: float) -> float:
@@ -55,7 +46,10 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _report(p_succ: float, e_p: float, e_b: float, k_pa: float, k_ec: float, method: RateMethod) -> KeyRateReport:
+def _rate(p_succ: float, e_p: float, e_b: float, ec_scale: float = 1.0) -> KeyRateReport:
+    """The one rate formula, p_succ (1 - H2(min(e_p, 1/2))) - ec_scale H2(e_b)."""
+    k_pa = p_succ * (1.0 - binary_entropy(min(e_p, 0.5)))
+    k_ec = ec_scale * binary_entropy(e_b)
     raw = k_pa - k_ec
     return KeyRateReport(
         rate=max(0.0, raw),
@@ -65,7 +59,6 @@ def _report(p_succ: float, e_p: float, e_b: float, k_pa: float, k_ec: float, met
         e_b=e_b,
         k_pa_fraction=k_pa,
         k_ec_fraction=k_ec,
-        method=method,
     )
 
 
@@ -75,20 +68,10 @@ def _check_unit_interval(**kwargs) -> None:
             raise DomainError(f"{name} must lie in [0, 1], got {value}")
 
 
-def noisy_rate(
-    p_succ: float,
-    e_p: float,
-    e_b: float,
-    method: RateMethod = RateMethod.NOISY_OPTIMIZED,
-) -> KeyRateReport:
-    """General-case rate p_succ (1 - H2(e_p)) - H2(e_b).
-
-    A phase error bound past 1/2 certifies nothing, so the entropy term is
-    evaluated at min(e_p, 1/2), which drives the rate to zero there.
-    """
+def noisy_rate(p_succ: float, e_p: float, e_b: float) -> KeyRateReport:
+    """General-case rate p_succ (1 - H2(e_p)) - H2(e_b), zero once e_p > 1/2."""
     _check_unit_interval(p_succ=p_succ, e_p=e_p, e_b=e_b)
-    k_pa = p_succ * (1.0 - binary_entropy(min(e_p, 0.5)))
-    return _report(p_succ, e_p, e_b, k_pa, binary_entropy(e_b), method)
+    return _rate(p_succ, e_p, e_b)
 
 
 def four_phase_rate(e_b: float, e_p: float) -> KeyRateReport:
@@ -98,7 +81,7 @@ def four_phase_rate(e_b: float, e_p: float) -> KeyRateReport:
     and the result does not depend on the detector pair at all.
     """
     _check_unit_interval(e_b=e_b, e_p=e_p)
-    return _report(1.0, e_p, e_b, 1.0 - binary_entropy(e_p), binary_entropy(e_b), RateMethod.FOUR_PHASE)
+    return _rate(1.0, e_p, e_b)
 
 
 def scalar_reference_rates(
@@ -125,8 +108,4 @@ def scalar_reference_rates(
             raise DomainError(f"{name} must lie in (0, 1], got {eta}")
     _check_unit_interval(e_b=e_b, e_p=e_p)
     factor = 2.0 * min(eta0, eta1) / (eta0 + eta1)
-    hp = binary_entropy(e_p)
-    hb = binary_entropy(e_b)
-    discarding = _report(factor, e_p, e_b, factor * (1.0 - hp), factor * hb, RateMethod.SCALAR_DISCARDING)
-    general = _report(factor, e_p, e_b, factor * (1.0 - hp), hb, RateMethod.NOISY_OPTIMIZED)
-    return discarding, general
+    return _rate(factor, e_p, e_b, factor), _rate(factor, e_p, e_b)

@@ -30,7 +30,6 @@ from qkd_mismatch import (
 )
 from qkd_mismatch import TimeShiftScenario
 from qkd_mismatch.cli import main
-from qkd_mismatch.rates import RateMethod
 
 from conftest import DEMO_E0, DEMO_E1, random_efficiency, random_pair
 from oracles import mediant_check, noiseless_rate_bruteforce, optimize_unconstrained_bounds
@@ -198,7 +197,7 @@ def test_criterion_08_sweep_shape(tmp_path, capsys):
             assert ep_opt <= ep_bound + 1e-4
             assert rate_opt >= rate_bound - 1e-4
             assert rate_bound == pytest.approx(
-                noisy_rate(lo, min(1.0, hi * e), e, RateMethod.NOISY_BOUNDS).rate,
+                noisy_rate(lo, min(1.0, hi * e), e).rate,
                 abs=1e-12,
             )
         assert elapsed < 600.0

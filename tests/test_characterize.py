@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -225,6 +226,21 @@ def test_long_table_memory_is_bounded():
     assert e.matrix.shape == (64, 64)
     # one (2d - 1) x knots array alone would take 30 MB
     assert peak < 16e6
+
+
+def test_knots_far_outside_the_gate_smooth_without_overflow():
+    # a table spanning +-1e300 ns squares its outer tails to inf; exp(-inf) = 0 is
+    # their exact weight, so it discretizes as the same table spanning +-1e100 ns
+    gate = sample_grid(1e9, 0.0, 2e-9)
+
+    def spanning(far_s):
+        return ContinuousResponse(times_s=np.array([-far_s, 0.0, 2e-9, far_s]), values=np.array([0.5, 0.6, 0.4, 0.5]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = discretize_response(spanning(1e291), gate)
+    np.testing.assert_array_equal(e.matrix, discretize_response(spanning(1e91), gate).matrix)
+    assert e.full_rank
 
 
 def test_diagonal_convergence_with_bandwidth_doubling():

@@ -186,6 +186,19 @@ def test_analyze_rejects_matrix_entries_that_are_not_numbers(capsys, tmp_path, e
     assert (code, out, err) == (1, "", "error: E0: entries must be [re, im] pairs of numbers\n")
 
 
+@pytest.mark.parametrize("argv", [["analyze", "--json"], ["sweep", "--bounds-only"], ["sweep", "--steps", "3"]])
+def test_huge_antisymmetric_entries_end_in_one_error_line(capsys, tmp_path, argv):
+    # ||E0||_F overflows to inf, which used to pass the symmetry and window checks
+    path = tmp_path / "antisymmetric.json"
+    path.write_text('{"dimension": 2, "E0": [[[0.3, 0], [1e200, 0]], [[-1e200, 0], [0.3, 0]]],'
+                    ' "E1": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}', encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--spec", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: efficiency entry of modulus 1e+200") and err.count("\n") == 1
+
+
 def _parse_sweep(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, "sweep produced no rows"

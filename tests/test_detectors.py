@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from qkd_mismatch import (
     write_spec_file,
 )
 from qkd_mismatch import detectors, linalg
-from qkd_mismatch.detectors import RANK_RTOL, validate_efficiency
+from qkd_mismatch.detectors import MAX_ENTRY_MODULUS, RANK_RTOL, validate_efficiency
 from qkd_mismatch.errors import DimensionMismatch, InvalidEfficiency, NumericalFailure, SingularDetector
 from qkd_mismatch.linalg import frobenius, principal_sqrt
 
@@ -639,3 +640,31 @@ def test_load_pair_errors_match_validate_efficiency(bad):
         with pytest.raises(InvalidEfficiency) as got:
             load_pair(*args)
         assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[0.3, 1e200], [-1e200, 0.3]],  # antisymmetric part that a Frobenius norm of inf would hide
+        [[0.5, 1e200], [1e200, 0.5]],  # Hermitian, eigenvalues +-1e200
+        [[1e160]],
+        [[1e150]],
+        [[0.5, 1e308 + 1e308j], [1e308 - 1e308j, 0.5]],
+        [[1.7e308 + 1.7e308j]],  # a modulus past the float range
+    ],
+)
+def test_entries_too_large_for_a_response_are_rejected_before_any_norm(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidEfficiency, match="entries of modulus at most 1"):
+            validate_efficiency(bad)
+        for args in ((bad, np.eye(len(bad))), (np.eye(len(bad)), bad)):
+            with pytest.raises(InvalidEfficiency, match="entries of modulus at most 1"):
+                load_pair(*args)
+
+
+def test_entries_below_the_bound_keep_the_spectrum_message():
+    # A response with eigenvalues in [-tol, 1 + tol] has entries of modulus at most 1 + 2 tol.
+    assert MAX_ENTRY_MODULUS >= 2.0
+    with pytest.raises(InvalidEfficiency, match=r"eigenvalues \[-1e\+99, 1e\+99\] outside \[0, 1\]"):
+        validate_efficiency([[0.5, 1e99], [1e99, 0.5]])

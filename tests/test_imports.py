@@ -93,7 +93,7 @@ def test_public_api_is_exactly_this_set():
     assert sorted(qkd_mismatch.__all__) == [
         "Analysis", "AttackOutcome", "ContinuousResponse", "DetectorPair", "DetectorSpecFile",
         "EfficiencyResponse", "EveState", "FilteredGate", "KeyRateReport", "Knowledge",
-        "MismatchSpectrum", "NoiselessRate", "RateMethod", "RateStatistics", "TimeShiftScenario",
+        "MismatchSpectrum", "NoiselessRate", "RateStatistics", "TimeShiftScenario",
         "VirtualFilterC", "ZeroRateReason", "analyze_pair", "binary_entropy", "compute_filter",
         "deflate_common_nullspace", "diagonal_only_response", "discretize_response",
         "evaluate_statistics", "four_phase_rate", "load_pair", "maximize_phase_error",

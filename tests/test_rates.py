@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qkd_mismatch import (
-    RateMethod,
     binary_entropy,
     four_phase_rate,
     noisy_rate,
@@ -42,12 +41,11 @@ def test_noisy_rate_perfect_detectors():
 
 def test_noisy_rate_bound_point():
     # bound values at observed error 0.02 with ratios (0.330, 3.03)
-    report = noisy_rate(0.330, 3.03 * 0.02, 0.02, RateMethod.NOISY_BOUNDS)
+    report = noisy_rate(0.330, 3.03 * 0.02, 0.02)
     assert report.rate == pytest.approx(0.0797181628360238, abs=1e-12)
     assert report.rate_raw == pytest.approx(
         0.330 * (1.0 - binary_entropy(0.0606)) - binary_entropy(0.02), abs=1e-14
     )
-    assert report.method is RateMethod.NOISY_BOUNDS
 
 
 def test_noisy_rate_noiseless_limit_value():
@@ -93,7 +91,6 @@ def test_four_phase_reference_points():
     report = four_phase_rate(0.05, 0.05)
     assert report.rate == pytest.approx(0.4272060857680877, abs=1e-12)
     assert report.p_succ == 1.0
-    assert report.method is RateMethod.FOUR_PHASE
 
 
 def test_four_phase_formula_identity():
@@ -111,7 +108,7 @@ def test_four_phase_dominates_bound_rate_under_mismatch(demo_spectrum):
 
     lo, hi = mismatch_ratio_bounds(demo_spectrum)
     for e in np.linspace(0.0, 0.1, 11):
-        bounds_rate = noisy_rate(lo, min(1.0, hi * e), e, RateMethod.NOISY_BOUNDS).rate
+        bounds_rate = noisy_rate(lo, min(1.0, hi * e), e).rate
         assert four_phase_rate(e, e).rate >= bounds_rate - 1e-12
 
 
@@ -124,7 +121,6 @@ def test_scalar_reference_unbalanced_noiseless():
     disc, gen = scalar_reference_rates(0.8, 0.2, 0.0, 0.0)
     assert disc.rate == pytest.approx(0.4, abs=1e-14)
     assert gen.rate == pytest.approx(0.4, abs=1e-14)
-    assert disc.method is RateMethod.SCALAR_DISCARDING
 
 
 def test_scalar_discarding_dominates_general():
@@ -143,3 +139,19 @@ def test_scalar_reference_domain():
         scalar_reference_rates(0.0, 0.5, 0.0, 0.0)
     with pytest.raises(DomainError):
         scalar_reference_rates(0.5, 1.2, 0.0, 0.0)
+
+
+def test_four_phase_and_scalar_rates_are_the_noisy_rate():
+    # one formula, so a phase-error bound past 1/2 certifies nothing in all three
+    grid = [0.0, 0.02, 0.11, 0.3, 0.5, 0.6, 0.9, 1.0]
+    factor = 2.0 * 0.25 / 0.95
+    for e_b in grid:
+        for e_p in grid:
+            four_phase = four_phase_rate(e_b, e_p)
+            disc, gen = scalar_reference_rates(0.7, 0.25, e_b, e_p)
+            assert four_phase == noisy_rate(1.0, e_p, e_b), (e_b, e_p)
+            assert gen == noisy_rate(factor, e_p, e_b), (e_b, e_p)
+            assert disc.k_pa_fraction == gen.k_pa_fraction, (e_b, e_p)
+            assert disc.k_ec_fraction == factor * binary_entropy(e_b), (e_b, e_p)
+            if e_p > 0.5:
+                assert four_phase.rate == disc.rate == gen.rate == 0.0, (e_b, e_p)
