@@ -33,8 +33,9 @@ with subgradient Tr(R A1) for a state R on the top eigenspace at the inner
 minimizer with Tr(R A2) = 0 (Overton, SIAM J. Matrix Anal. Appl. 1988; Lewis
 and Overton, Acta Numerica 1996). R mixes the top eigenvectors at the two
 ends of the inner search's final bracket, so the outer search runs no
-eigensolve of its own. Along a `sweep` grid each search starts from the
-multipliers the previous grid point ended on. A zero target is handled exactly:
+eigensolve of its own. A solve depends only on its arguments; a sweep passes
+one `starts` dict to all its solves, so from the third of a bound and face
+on, each search starts where the previous one ended. A zero target is handled exactly:
 e_b = 0 confines rho to span{e1, e4} x C^d and e_p' = 0 to span{e1, e2} x C^d,
 on which that target's constraint is exactly the zero matrix, so its slope is
 0 and its multiplier never moves. At e_b = e_p' = 0 the search is one
@@ -49,8 +50,6 @@ the mismatch ratios (`filtering.mismatch_ratio_bounds`).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
 
@@ -124,7 +123,9 @@ class EveState:
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2 or v.shape[0] < 1:
             raise DimensionMismatch("EveState.vectors must have shape (rank, 4d)")
-        if not np.any(np.abs(v) > 0):
+        if not np.all(np.isfinite(v)):
+            raise ValueError("EveState.vectors must be finite")
+        if not np.any(v):
             raise ValueError("EveState needs at least one nonzero vector")
         object.__setattr__(self, "vectors", v)
 
@@ -169,18 +170,15 @@ def _operator_coefficients() -> np.ndarray:
 _COEFFICIENTS = _operator_coefficients()
 
 
-def _build_operators(pair: DetectorPair, filter_c: VirtualFilterC) -> np.ndarray:
-    """The six operators as one read-only (6, 4d, 4d) array."""
+def _build_operators(pair: DetectorPair, filter_c: VirtualFilterC, face=(0, 1, 2, 3)) -> np.ndarray:
+    """The six operators restricted to `face`, rows of the 4x4 factor (see
+    `_face`), as one read-only (6, len(face) d, len(face) d) array."""
     factors = np.stack([pair.e0.matrix, pair.e1.matrix, filter_c.gram])
-    n = 4 * pair.dim
-    stacked = np.einsum("kpab,pij->kaibj", _COEFFICIENTS, factors).reshape(6, n, n)
+    n = len(face) * pair.dim
+    coefficients = _COEFFICIENTS[:, :, face][..., face]
+    stacked = np.einsum("kpab,pij->kaibj", coefficients, factors).reshape(6, n, n)
     stacked.setflags(write=False)
     return stacked
-
-
-def _state_forms(vectors: np.ndarray, ops: np.ndarray) -> np.ndarray:
-    mv = np.einsum("kij,rj->kri", ops, vectors)
-    return np.einsum("kri,ri->k", mv, vectors.conj()).real
 
 
 def _stats_from_forms(forms: np.ndarray, norm2: float) -> RateStatistics:
@@ -192,7 +190,7 @@ def _stats_from_forms(forms: np.ndarray, norm2: float) -> RateStatistics:
     def _ratio(num, den):
         value = num / den
         if not -VALIDITY_TOL <= value <= 1.0 + VALIDITY_TOL:
-            raise NumericalFailure(f"rate {value!r} outside [0, 1] beyond rounding")
+            raise NumericalFailure(f"rate {float(value)!r} outside [0, 1] beyond rounding")
         return float(min(max(value, 0.0), 1.0))
 
     return RateStatistics(
@@ -209,10 +207,14 @@ def evaluate_statistics(state: EveState, pair: DetectorPair, filter_c: VirtualFi
         raise SingularDetector("statistics need full-rank responses")
     if state.dim != 4 * pair.dim:
         raise DimensionMismatch(f"state dimension {state.dim} != 4 * {pair.dim}")
-    ops = _build_operators(pair, filter_c)
-    forms = _state_forms(state.vectors, ops)
-    norm2 = float(np.sum(np.abs(state.vectors) ** 2))
-    return _stats_from_forms(forms, norm2)
+    # Scaled by the power of two that brings its largest part into [1/2, 1),
+    # the state has the same rates to the bit, and forms that cannot overflow.
+    parts = np.stack([state.vectors.real, state.vectors.imag])
+    parts = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
+    vectors = parts[0] + 1j * parts[1]
+    mv = np.einsum("kij,rj->kri", _build_operators(pair, filter_c), vectors)
+    forms = np.einsum("kri,ri->k", mv, vectors.conj()).real
+    return _stats_from_forms(forms, float(np.sum(np.abs(vectors) ** 2)))
 
 
 def _validate_observed(observed_eb: float, observed_epp: float) -> None:
@@ -221,18 +223,14 @@ def _validate_observed(observed_eb: float, observed_epp: float) -> None:
             raise DomainError(f"observed {name} must lie in [0, 0.5], got {value}")
 
 
-def _face(observed_eb: float, observed_epp: float, d: int) -> np.ndarray:
-    """Coordinates of the 4d space a state may occupy at the observed rates.
+def _face(observed_eb: float, observed_epp: float) -> tuple:
+    """Rows of the 4x4 factor a state may occupy at the observed rates.
 
     EBnum and EPPnum are positive, so a zero target forces rho into their
     kernel: span{e1, e4} x C^d for e_b = 0, span{e1, e2} x C^d for e_p' = 0.
     """
-    blocks = {0, 1, 2, 3}
-    if observed_eb == 0.0:
-        blocks -= {1, 2}
-    if observed_epp == 0.0:
-        blocks -= {2, 3}
-    return np.concatenate([np.arange(b * d, (b + 1) * d) for b in sorted(blocks)])
+    dropped = ({1, 2} if observed_eb == 0.0 else set()) | ({2, 3} if observed_epp == 0.0 else set())
+    return tuple(row for row in range(4) if row not in dropped)
 
 
 def _top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -434,42 +432,19 @@ def _partial_minimum(base: np.ndarray, first: np.ndarray, second: np.ndarray, st
     return fun
 
 
-# Inside `_sweep_warm_starts`: per (kind, e_b > 0, e_p' > 0), the multipliers
-# the last solve ended on and their move from the solve before (None after the
-# first). A context, not a parameter, so that `cmd_sweep` keeps calling the
-# public solvers with their public signatures.
-_WARM_STARTS = contextvars.ContextVar("_WARM_STARTS", default=None)
-
-
-@contextlib.contextmanager
-def _sweep_warm_starts():
-    """Within the block, each constrained solve starts its dual search from
-    the multipliers the previous solve of the same kind ended on, with first
-    steps as long as their move from the solve before; the first two solves
-    start cold, since a first step with no move to size it can overshoot far
-    (on the demo pair it cost more than a cold start). Neighbouring points of
-    a sweep have nearby optima; the bound is certified wherever the search
-    starts."""
-    token = _WARM_STARTS.set({})
-    try:
-        yield
-    finally:
-        _WARM_STARTS.reset(token)
-
-
 def _solve_constrained(
     pair: DetectorPair,
     filter_c: VirtualFilterC,
     observed_eb: float,
     observed_epp: float,
     kind: str,
+    starts: dict | None,
 ) -> tuple[float, EveState]:
     _validate_observed(observed_eb, observed_epp)
     if not pair.full_rank:
         raise SingularDetector("bound optimization needs full-rank responses")
-    ops = _build_operators(pair, filter_c)
-    idx = _face(observed_eb, observed_epp, pair.dim)
-    zden, ebn, xden, eppn, cc, epn = ops[:, idx[:, np.newaxis], idx]
+    face = _face(observed_eb, observed_epp)
+    zden, ebn, xden, eppn, cc, epn = _build_operators(pair, filter_c, face)
 
     # Both bounds become min_y lambda_max(base + y1 first + y2 second) after
     # whitening by the Charnes-Cooper denominator (its inverse Cholesky factor
@@ -481,10 +456,11 @@ def _solve_constrained(
     white = np.linalg.inv(np.linalg.cholesky(norm))
     base, first, second = [white @ m @ white.conj().T
                            for m in (objective, ebn - observed_eb * zden, eppn - observed_epp * xden)]
-    # Keyed on the face as well as the kind: keying on the kind alone raised
-    # the 3-step demo sweep from 364 to 387 top eigenpairs (and lowered the
-    # 20-step one from 2405 to 2251, its bounds moving by up to 1e-15).
-    starts, key = _WARM_STARTS.get(), (kind, observed_eb > 0.0, observed_epp > 0.0)
+    # Each entry of `starts`: the key's last multipliers and their move from
+    # the solve before (None after the first). Keyed on the face as well as
+    # the kind: keying on the kind alone raised the 3-step demo sweep from 364
+    # to 387 top eigenpairs (and lowered the 20-step one from 2405 to 2251).
+    key = (kind, observed_eb > 0.0, observed_epp > 0.0)
     last, moves = (None, None) if starts is None else starts.get(key, (None, None))
     (start1, start2), (step1, step2) = ((0.0, 0.0), (1.0, 1.0)) if moves is None else (last, moves)
     # The outer search's end points carry their inner searches' end points
@@ -501,10 +477,10 @@ def _solve_constrained(
     infeasible = value > 1.0 + VALIDITY_TOL if kind == "min_psucc" else value < -VALIDITY_TOL
     if infeasible:
         raise Infeasible(f"dual value {value:.6g} certifies that no attack state meets the observed rates")
-    local = _end_state([(*p[:3], _end_state(p[3])) for p in ends])
-    vectors = np.zeros((local.shape[0], ops.shape[-1]), dtype=complex)
-    vectors[:, idx] = local @ white.conj()
-    return float(min(max(value, 0.0), 1.0)), EveState(vectors=vectors)
+    local = _end_state([(*p[:3], _end_state(p[3])) for p in ends]) @ white.conj()
+    vectors = np.zeros((local.shape[0], 4, pair.dim), dtype=complex)
+    vectors[:, face] = local.reshape(-1, len(face), pair.dim)
+    return float(min(max(value, 0.0), 1.0)), EveState(vectors=vectors.reshape(local.shape[0], -1))
 
 
 def minimize_filter_success(
@@ -512,6 +488,7 @@ def minimize_filter_success(
     filter_c: VirtualFilterC,
     observed_eb: float,
     observed_epp: float,
+    starts: dict | None = None,
 ) -> tuple[float, EveState]:
     """Worst-case virtual-filtering success probability at the observed rates.
 
@@ -520,8 +497,15 @@ def minimize_filter_success(
     witness state the dual search ended on: it meets the observed rates to
     rounding, and its p_succ lies within the search's tangent gap of the
     bound. The witness may be a mixed state (up to 4 rows).
+
+    `starts`, one dict (empty at first) passed to every solve of a sweep,
+    starts each dual search from the multipliers the previous solve of the
+    same bound and face (which targets are zero) ended on, with first steps
+    as long as their move from the solve before; the first two of each start
+    cold, as every solve does without it. This halves a 20-step sweep's
+    eigensolves; the bound may move in its last digits, and stays certified.
     """
-    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, "min_psucc")
+    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, "min_psucc", starts)
 
 
 def maximize_phase_error(
@@ -529,11 +513,13 @@ def maximize_phase_error(
     filter_c: VirtualFilterC,
     observed_eb: float,
     observed_epp: float,
+    starts: dict | None = None,
 ) -> tuple[float, EveState]:
     """Worst-case virtual phase error rate at the observed rates: a certified
-    upper bound on e_p, plus a witness state, as in `minimize_filter_success`.
+    upper bound on e_p, plus a witness state, as in `minimize_filter_success`,
+    which describes `starts`.
     """
-    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, "max_ep")
+    return _solve_constrained(pair, filter_c, observed_eb, observed_epp, "max_ep", starts)
 
 
 def __getattr__(name):

@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adversary import _sweep_warm_starts, maximize_phase_error, minimize_filter_success
+from .adversary import maximize_phase_error, minimize_filter_success
 from .characterize import diagonal_only_response, discretize_response, read_response_csv, sample_grid
-from .detectors import DetectorPair, load_pair, read_spec_file, write_spec_file
-from .errors import QkdMismatchError
+from .detectors import DetectorPair, load_pair, read_spec_file, validate_efficiency, write_spec_file
+from .errors import InvalidEfficiency, QkdMismatchError
 from .filtering import Analysis, Knowledge, analyze_pair, compute_filter, mismatch_ratio_bounds
 from .rates import four_phase_rate, noisy_rate
 from .timeshift import TimeShiftScenario, simulate_time_shift
@@ -73,7 +73,13 @@ def _emit_json(doc, out=None) -> None:
 
 def _load_pair_from_spec(path) -> tuple[DetectorPair, str, str]:
     spec = read_spec_file(path)
-    return load_pair(spec.e0_raw, spec.e1_raw), spec.label0, spec.label1
+    responses = []
+    for name, raw in (("E0", spec.e0_raw), ("E1", spec.e1_raw)):
+        try:
+            responses.append(validate_efficiency(raw))
+        except InvalidEfficiency as exc:  # named as the spec's parse errors are
+            raise InvalidEfficiency(f"{name}: {exc}") from exc
+    return load_pair(*responses), spec.label0, spec.label1
 
 
 # --- analyze ------------------------------------------------------------------
@@ -136,6 +142,7 @@ def _sweep_rows(analysis: Analysis, args):
     filt = None if args.bounds_only else compute_filter(analysis.spectrum, pair)
     p_lo, ratio_up = mismatch_ratio_bounds(analysis.spectrum)
     grid = np.linspace(0.0, args.e_max, args.steps)
+    starts = {}  # each grid point's dual searches start where the previous point's ended
 
     rows = []
     for e in grid:
@@ -154,8 +161,8 @@ def _sweep_rows(analysis: Analysis, args):
         }
         if not args.bounds_only:
             try:
-                p_opt, _ = minimize_filter_success(pair, filt, e, e)
-                ep_opt, _ = maximize_phase_error(pair, filt, e, e)
+                p_opt, _ = minimize_filter_success(pair, filt, e, e, starts)
+                ep_opt, _ = maximize_phase_error(pair, filt, e, e, starts)
                 row["p_succ_opt"] = p_opt
                 row["e_p_opt"] = ep_opt
                 # Both p_succ values are certified lower bounds and both e_p
@@ -182,8 +189,7 @@ def cmd_sweep(args) -> int:
     if analysis.noiseless.zero_reason is not None:
         print(f"zero-rate reason: {analysis.noiseless.zero_reason.value}", file=sys.stderr)
         return EXIT_ZERO_RATE
-    with _sweep_warm_starts():  # each grid point's dual search starts where the previous one ended
-        rows = _sweep_rows(analysis, args)
+    rows = _sweep_rows(analysis, args)
 
     if args.json:
         doc = [{k: row[k] for k in SWEEP_COLUMNS} for row in rows]

@@ -25,11 +25,6 @@ from .errors import DimensionMismatch, InvalidEfficiency, NotHermitian, Numerica
 RANK_RTOL = 1e-10
 # Nullspace projectors closer than this are treated as identical (Frobenius).
 NULLSPACE_TOL = 1e-8
-# A valid response (eigenvalues in [-tol, 1 + tol]) has entries of modulus at
-# most 1 + 2 tol. Larger entries are rejected before any norm is taken: past
-# about 1.3e154 their squares overflow the Frobenius norms the tolerances scale
-# with, and an infinite tolerance passes any matrix.
-MAX_ENTRY_MODULUS = 1e100
 
 
 @dataclass(frozen=True)
@@ -68,21 +63,20 @@ class EfficiencyResponse:
 
 
 def validate_efficiency(raw) -> EfficiencyResponse:
-    """Check the entries' size (`MAX_ENTRY_MODULUS`) and Hermiticity, then the
-    spectrum window [0, 1] to within PSD_RTOL * max(1, ||E||_F) from the
-    eigenvalues alone; factor a full-rank response by Cholesky, checked to
+    """Check the entries' size (`linalg.MAX_ENTRY_MODULUS`) and Hermiticity,
+    then the spectrum window [0, 1] to within PSD_RTOL * max(1, ||E||_F) from
+    the eigenvalues alone; factor a full-rank response by Cholesky, checked to
     reconstruct E as `linalg.hermitian_eig` checks an eigensystem. The matrix
     is symmetrized and checked once."""
-    m = linalg.as_matrix(raw)
-    with np.errstate(over="ignore"):  # a complex modulus past the float range is inf, and rejected
-        peak = np.abs(m).max()
-    if peak > MAX_ENTRY_MODULUS:
-        raise InvalidEfficiency(f"efficiency entry of modulus {peak:.6g} exceeds {MAX_ENTRY_MODULUS:.0e}: "
-                                "a response with eigenvalues in [0, 1] has entries of modulus at most 1")
     try:
-        m = linalg.require_hermitian(m)
+        m = linalg.require_hermitian(raw)
     except NotHermitian as exc:
-        raise InvalidEfficiency(str(exc)) from exc
+        with np.errstate(over="ignore"):  # as in `linalg.require_hermitian`
+            peak = np.abs(linalg.as_matrix(raw)).max()
+        if peak <= linalg.MAX_ENTRY_MODULUS:
+            raise InvalidEfficiency(str(exc)) from exc
+        raise InvalidEfficiency(f"efficiency entry of modulus {peak:.6g} exceeds {linalg.MAX_ENTRY_MODULUS:.0e}: "
+                                "a response with eigenvalues in [0, 1] has entries of modulus at most 1") from exc
     try:
         w = np.linalg.eigvalsh(m)[::-1]
     except np.linalg.LinAlgError as exc:

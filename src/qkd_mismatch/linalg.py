@@ -21,6 +21,10 @@ from .errors import DimensionMismatch, NotHermitian, NotPSD, NumericalFailure
 SYMMETRY_RTOL = 1e-10
 PSD_RTOL = 1e-12
 RECONSTRUCTION_RTOL = 1e-10
+# Larger entries are rejected before any norm is taken: past about 1.3e154
+# their squares overflow the Frobenius norms the tolerances scale with, and an
+# infinite tolerance passes any matrix. Valid detector responses stay near 1.
+MAX_ENTRY_MODULUS = 1e100
 
 
 def as_matrix(a) -> np.ndarray:
@@ -40,9 +44,14 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def require_hermitian(a) -> np.ndarray:
-    """Return the symmetrized matrix, raising NotHermitian beyond tolerance.
-    It is float64 when its imaginary parts symmetrize to zero."""
+    """Return the symmetrized matrix, raising NotHermitian beyond tolerance
+    or for an entry past MAX_ENTRY_MODULUS, whose symmetry defect cannot be
+    measured. It is float64 when its imaginary parts symmetrize to zero."""
     m = as_matrix(a)
+    with np.errstate(over="ignore"):  # a complex modulus past the float range is inf
+        peak = np.abs(m).max()
+    if peak > MAX_ENTRY_MODULUS:
+        raise NotHermitian(f"entry of modulus {peak:.6g} exceeds {MAX_ENTRY_MODULUS:.0e}")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"square matrix required, got shape {m.shape}")
     tol = SYMMETRY_RTOL * max(1.0, frobenius(m))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,6 @@ from qkd_mismatch.adversary import (
     _face,
     _partial_minimum,
     _stats_from_forms,
-    _sweep_warm_starts,
     _top_eigen_slope,
     _top_eigenpair,
 )
@@ -148,9 +149,27 @@ def test_statistics_scale_invariant(demo_pair, demo_filter):
     rng = np.random.default_rng(16)
     state = _random_state(rng, 8, rank=2)
     base = evaluate_statistics(state, demo_pair, demo_filter)
-    scaled = evaluate_statistics(EveState(vectors=37.5 * state.vectors), demo_pair, demo_filter)
-    for field in ("e_b", "e_p_prime", "e_p", "p_succ"):
-        assert getattr(base, field) == pytest.approx(getattr(scaled, field), abs=1e-12)
+    for factor in (37.5, 1e200, 1e-200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = evaluate_statistics(EveState(vectors=factor * state.vectors), demo_pair, demo_filter)
+        for field in ("e_b", "e_p_prime", "e_p", "p_succ"):
+            assert getattr(base, field) == pytest.approx(getattr(scaled, field), abs=1e-12), factor
+    # A power of two changes no bit.
+    assert evaluate_statistics(EveState(vectors=2.0**600 * state.vectors), demo_pair, demo_filter) == base
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("where", ["first", "all"])
+def test_eve_state_rejects_non_finite_vectors(bad, where):
+    v = np.zeros((1, 8), dtype=complex)
+    v[0, 1] = 1.0
+    if where == "all":
+        v[:] = bad
+    else:
+        v[0, 0] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        EveState(vectors=v)
 
 
 def test_statistics_dimension_check(demo_pair, demo_filter):
@@ -165,7 +184,7 @@ def test_zero_denominator_guard():
 
 
 def test_rates_outside_unit_interval_raise_beyond_rounding():
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure, match=r"^rate 1\.5 outside"):  # a plain float
         _stats_from_forms(np.array([1.0, 0.0, 1.0, 0.0, 1.5, 0.0]), norm2=1.0)  # p_succ = 1.5
     stats = _stats_from_forms(np.array([1.0, -1e-12, 1.0, 0.0, 1.0 + 1e-12, 0.0]), norm2=1.0)
     assert stats.e_b == 0.0 and stats.p_succ == 1.0
@@ -368,11 +387,34 @@ def test_zero_target_constraint_is_exactly_zero_on_its_face(demo_pair, demo_filt
         rng = np.random.default_rng(70 + d)
         pair = _random_real_pair(rng, d) if pair_kind == "real" else random_pair(rng, d)
         filt = compute_filter(mismatch_spectrum(pair), pair)
-    ops = _build_operators(pair, filt)
     # EBnum on the e_b = 0 face, EPPnum on the e_p' = 0 face.
     for observed_eb, observed_epp, numerator in ((0.0, 0.1, 1), (0.1, 0.0, 3)):
-        idx = _face(observed_eb, observed_epp, pair.dim)
-        assert not np.any(ops[numerator][idx[:, np.newaxis], idx])
+        ops = _build_operators(pair, filt, _face(observed_eb, observed_epp))
+        assert ops.shape == (6, 2 * pair.dim, 2 * pair.dim)
+        assert not np.any(ops[numerator])
+
+
+@pytest.mark.parametrize("pair_kind, d", [("demo", 2)] + [(k, d) for k in ("real", "complex") for d in (1, 3, 8)])
+def test_face_stack_is_the_full_stack_restricted_to_its_rows(demo_pair, demo_filter, pair_kind, d):
+    # Slicing the 4x4 coefficients before the products gives the same bits as
+    # building all six 4d x 4d operators and keeping the face's coordinates.
+    if pair_kind == "demo":
+        pair, filt = demo_pair, demo_filter
+    else:
+        rng = np.random.default_rng(90 + d)
+        pair = _random_real_pair(rng, d) if pair_kind == "real" else random_pair(rng, d)
+        filt = compute_filter(mismatch_spectrum(pair), pair)
+    full = _build_operators(pair, filt)
+    faces = set()
+    for observed_eb in (0.0, 0.1):
+        for observed_epp in (0.0, 0.1):
+            face = _face(observed_eb, observed_epp)
+            faces.add(face)
+            idx = np.concatenate([np.arange(row * d, (row + 1) * d) for row in face])
+            ops = _build_operators(pair, filt, face)
+            assert ops.dtype == full.dtype and not ops.flags.writeable
+            assert ops.tobytes() == full[:, idx[:, np.newaxis], idx].tobytes(), face
+    assert faces == {(0, 1, 2, 3), (0, 3), (0, 1), (0,)}
 
 
 @pytest.mark.parametrize("solve", [minimize_filter_success, maximize_phase_error])
@@ -440,14 +482,50 @@ def test_sweep_warm_starts_keep_bounds_and_save_eigensolves(demo_pair, demo_filt
     solves = (minimize_filter_success, maximize_phase_error)
     cold = [solve(demo_pair, demo_filter, e, e)[0] for e in grid for solve in solves]
     cold_calls = len(calls)
-    with _sweep_warm_starts():
-        warm = [solve(demo_pair, demo_filter, e, e)[0] for e in grid for solve in solves]
+    starts = {}
+    warm = [solve(demo_pair, demo_filter, e, e, starts=starts)[0] for e in grid for solve in solves]
     warm_calls = len(calls) - cold_calls
     np.testing.assert_allclose(warm, cold, rtol=0, atol=1e-12)
     assert warm_calls < 0.8 * cold_calls
-    # Outside the block every solve starts cold again.
+    # One entry per bound and face: (e_b, e_p') = (0, 0), then both positive.
+    assert sorted(starts) == [(kind, face, face) for kind in ("max_ep", "min_psucc") for face in (False, True)]
+    # Without `starts` every solve starts cold again.
     again = [solve(demo_pair, demo_filter, e, e)[0] for e in grid for solve in solves]
     assert again == cold and len(calls) - cold_calls - warm_calls == cold_calls
+
+
+def test_interleaved_sweeps_with_their_own_starts_match_sweeps_run_in_turn(demo_pair, demo_filter, monkeypatch):
+    # A solve depends only on its arguments: two sweeps, each with its own
+    # `starts`, give the same values and the same eigensolves whether their
+    # solves alternate or one sweep runs after the other.
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return _top_eigenpair(m)
+
+    monkeypatch.setattr(adversary, "_top_eigenpair", counted)
+    pair = random_pair(np.random.default_rng(33), 3)
+    problems = [(demo_pair, demo_filter), (pair, compute_filter(mismatch_spectrum(pair), pair))]
+    grid = np.linspace(0.0, 0.25, 8)
+    solves = (minimize_filter_success, maximize_phase_error)
+
+    def solve_point(solve, problem, e, starts):
+        before = len(calls)
+        value, witness = solve(*problem, e, e, starts=starts)
+        return value, witness.vectors.tobytes(), len(calls) - before
+
+    in_turn = []
+    for problem in problems:
+        starts = {}
+        in_turn.append([solve_point(solve, problem, e, starts) for e in grid for solve in solves])
+    interleaved = [[], []]
+    all_starts = [{}, {}]
+    for e in grid:
+        for solve in solves:
+            for k, problem in enumerate(problems):
+                interleaved[k].append(solve_point(solve, problem, e, all_starts[k]))
+    assert interleaved == in_turn
 
 
 # --- slope of the partial minimum -------------------------------------------------

@@ -196,7 +196,22 @@ def test_huge_antisymmetric_entries_end_in_one_error_line(capsys, tmp_path, argv
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *argv, "--spec", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: efficiency entry of modulus 1e+200") and err.count("\n") == 1
+    assert err.startswith("error: E0: efficiency entry of modulus 1e+200") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["E0", "E1"])
+@pytest.mark.parametrize("bad, message", [
+    ("[[[0.5, 0], [0, 0]], [[0, 0], [1.3, 0]]]", "efficiency eigenvalues [0.5, 1.3] outside [0, 1]"),
+    ("[[[0.5, 0], [0.4, 0]], [[0.1, 0], [0.5, 0]]]", "symmetry defect 4.243e-01 exceeds 1.000e-10"),
+])
+def test_spec_validation_errors_name_the_detector(capsys, tmp_path, name, bad, message):
+    good = "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]"
+    doc = {"E0": good, "E1": good, name: bad}
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"dimension": 2, "E0": {doc["E0"]}, "E1": {doc["E1"]}}}', encoding="utf-8")
+    for argv in (["analyze"], ["sweep", "--bounds-only"]):
+        code, out, err = run_cli(capsys, *argv, "--spec", str(path))
+        assert (code, out, err) == (1, "", f"error: {name}: {message}\n")
 
 
 def _parse_sweep(text):

@@ -23,9 +23,9 @@ from qkd_mismatch import (
     write_spec_file,
 )
 from qkd_mismatch import detectors, linalg
-from qkd_mismatch.detectors import MAX_ENTRY_MODULUS, RANK_RTOL, validate_efficiency
+from qkd_mismatch.detectors import RANK_RTOL, validate_efficiency
 from qkd_mismatch.errors import DimensionMismatch, InvalidEfficiency, NumericalFailure, SingularDetector
-from qkd_mismatch.linalg import frobenius, principal_sqrt
+from qkd_mismatch.linalg import MAX_ENTRY_MODULUS, frobenius, principal_sqrt
 
 from conftest import (
     DEMO_E0,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,27 @@ def test_matrix_validation():
         as_matrix([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(DimensionMismatch):
         require_hermitian(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[0.3, 1e200], [-1e200, 0.3]],  # antisymmetric part that a Frobenius norm of inf would hide
+        [[0.5, 1e200], [1e200, 0.5]],  # Hermitian, but past the entries the norms can measure
+        [[1.7e308 + 1.7e308j]],  # a modulus past the float range
+        np.ones((2, 3)) * 1e101,  # the entry bound is checked before the shape
+    ],
+)
+def test_entries_past_the_bound_raise_not_hermitian_without_a_warning(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (require_hermitian, hermitian_eig, principal_sqrt):
+            with pytest.raises(NotHermitian, match=r"^entry of modulus .* exceeds 1e\+100$"):
+                fn(bad)
+
+
+def test_entries_at_the_bound_are_checked_as_before():
+    bound = linalg.MAX_ENTRY_MODULUS
+    np.testing.assert_array_equal(require_hermitian([[bound, 0.5], [0.5, -bound]]), [[bound, 0.5], [0.5, -bound]])
+    with pytest.raises(NotHermitian, match="symmetry defect"):
+        require_hermitian([[0.3, bound], [-bound, 0.3]])
