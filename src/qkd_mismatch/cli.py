@@ -12,9 +12,9 @@ double precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .adversary import maximize_phase_error, minimize_filter_success
 from .characterize import diagonal_only_response, discretize_response, read_response_csv, sample_grid
-from .detectors import DetectorPair, load_pair, read_spec_file, validate_efficiency, write_spec_file
-from .errors import InvalidEfficiency, QkdMismatchError
+from .detectors import DetectorPair, load_pair, read_spec_file, write_spec_file
+from .errors import QkdMismatchError
 from .filtering import Analysis, Knowledge, analyze_pair, compute_filter, mismatch_ratio_bounds
 from .rates import four_phase_rate, noisy_rate
 from .timeshift import TimeShiftScenario, simulate_time_shift
@@ -71,15 +71,13 @@ def _emit_json(doc, out=None) -> None:
     (out or sys.stdout).write(text)
 
 
+def _rank_words(full_rank) -> str:
+    return " / ".join("full" if ok else "singular" for ok in full_rank)
+
+
 def _load_pair_from_spec(path) -> tuple[DetectorPair, str, str]:
     spec = read_spec_file(path)
-    responses = []
-    for name, raw in (("E0", spec.e0_raw), ("E1", spec.e1_raw)):
-        try:
-            responses.append(validate_efficiency(raw))
-        except InvalidEfficiency as exc:  # named as the spec's parse errors are
-            raise InvalidEfficiency(f"{name}: {exc}") from exc
-    return load_pair(*responses), spec.label0, spec.label1
+    return load_pair(spec.e0_raw, spec.e1_raw), spec.label0, spec.label1
 
 
 # --- analyze ------------------------------------------------------------------
@@ -89,49 +87,44 @@ def cmd_analyze(args) -> int:
     pair, label0, label1 = _load_pair_from_spec(args.spec)
     analysis = analyze_pair(pair, Knowledge(args.knowledge))
     rate = analysis.noiseless
+    labels, full_rank = [label0, label1], [pair.full_rank0, pair.full_rank1]
     if rate.zero_reason is not None:
-        if args.json:
-            _emit_json({
-                "dimension": pair.dim,
-                "labels": [label0, label1],
-                "full_rank": [pair.full_rank0, pair.full_rank1],
-                "noiseless_rate": 0.0,
-                "zero_reason": rate.zero_reason.value,
-            })
-        else:
-            print(f"detectors: {label0} / {label1}  (d = {pair.dim})")
-            print("R_noiseless = 0.000")
-            print(f"zero-rate reason: {rate.zero_reason.value}")
-        return EXIT_ZERO_RATE
-
-    effective, spectrum = analysis.pair, analysis.spectrum
-    filt = compute_filter(spectrum, effective)
-    p_lo, ratio_up = mismatch_ratio_bounds(spectrum)
-
-    if args.json:
-        _emit_json({
+        doc = {"dimension": pair.dim, "labels": labels, "full_rank": full_rank, "noiseless_rate": 0.0,
+               "zero_reason": rate.zero_reason.value}
+    else:
+        effective, spectrum = analysis.pair, analysis.spectrum
+        filt = compute_filter(spectrum, effective)
+        p_lo, ratio_up = mismatch_ratio_bounds(spectrum)
+        doc = {
             "dimension": pair.dim,
             "effective_dimension": effective.dim,
-            "labels": [label0, label1],
-            "full_rank": [pair.full_rank0, pair.full_rank1],
+            "labels": labels,
+            "full_rank": full_rank,
             "ratios": [float(x) for x in spectrum.ratios],
             "noiseless_rate": rate.rate,
             "limiting_ratio": rate.limiting_ratio,
             "p_succ_lower": p_lo,
             "ep_ratio_upper": ratio_up,
             "validity_margin": filt.validity_margin,
-        })
-        return EXIT_OK
+        }
+    code = EXIT_OK if rate.zero_reason is None else EXIT_ZERO_RATE
+    if args.json:
+        _emit_json(doc)
+        return code
 
-    print(f"detectors: {label0} / {label1}  (d = {pair.dim})")
-    rank_words = ["full" if ok else "singular" for ok in (pair.full_rank0, pair.full_rank1)]
-    print(f"rank: {rank_words[0]} / {rank_words[1]}" + ("" if pair.full_rank else f", deflated to d' = {effective.dim}"))
-    print("D = [" + ", ".join(_sig(x, 3) for x in spectrum.ratios) + "]")
-    print(f"R_noiseless = {_rate(rate.rate)}")
-    print(f"p_succ bound >= {_sig(p_lo, 3)}")
-    print(f"e_p/e_p' bound <= {_sig(ratio_up, 3)}")
-    print(f"filter validity margin = {_sig(filt.validity_margin)}")
-    return EXIT_OK
+    print(f"detectors: {' / '.join(doc['labels'])}  (d = {doc['dimension']})")
+    if "zero_reason" in doc:
+        print(f"R_noiseless = {_rate(doc['noiseless_rate'])}")
+        print(f"zero-rate reason: {doc['zero_reason']}")
+        return code
+    deflated = "" if all(doc["full_rank"]) else f", deflated to d' = {doc['effective_dimension']}"
+    print(f"rank: {_rank_words(doc['full_rank'])}{deflated}")
+    print("D = [" + ", ".join(_sig(x, 3) for x in doc["ratios"]) + "]")
+    print(f"R_noiseless = {_rate(doc['noiseless_rate'])}")
+    print(f"p_succ bound >= {_sig(doc['p_succ_lower'], 3)}")
+    print(f"e_p/e_p' bound <= {_sig(doc['ep_ratio_upper'], 3)}")
+    print(f"filter validity margin = {_sig(doc['validity_margin'])}")
+    return code
 
 
 # --- sweep --------------------------------------------------------------------
@@ -148,15 +141,15 @@ def _sweep_rows(analysis: Analysis, args):
     for e in grid:
         e = float(e)
         ep_bound = min(1.0, ratio_up * e)
-        row = {
+        row = {  # in SWEEP_COLUMNS order
             "e_obs": e,
             "p_succ_bound": p_lo,
-            "e_p_bound": ep_bound,
-            "rate_bound": noisy_rate(p_lo, ep_bound, e).rate,
-            "rate_4phase": four_phase_rate(e, e).rate,
             "p_succ_opt": None,
+            "e_p_bound": ep_bound,
             "e_p_opt": None,
+            "rate_bound": noisy_rate(p_lo, ep_bound, e).rate,
             "rate_opt": None,
+            "rate_4phase": four_phase_rate(e, e).rate,
             "status": "ok",
         }
         if not args.bounds_only:
@@ -190,31 +183,16 @@ def cmd_sweep(args) -> int:
         print(f"zero-rate reason: {analysis.noiseless.zero_reason.value}", file=sys.stderr)
         return EXIT_ZERO_RATE
     rows = _sweep_rows(analysis, args)
-
-    if args.json:
-        doc = [{k: row[k] for k in SWEEP_COLUMNS} for row in rows]
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                _emit_json(doc, fh)
+    with open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        if args.json:
+            _emit_json(rows, out)
         else:
-            _emit_json(doc)
-        return EXIT_OK
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            "" if row[k] is None else (repr(row[k]) if isinstance(row[k], float) else row[k])
-            for k in SWEEP_COLUMNS
-        ])
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            # csv writes None as an empty field and a float as its repr.
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(SWEEP_COLUMNS)
+            writer.writerows(row.values() for row in rows)
+    if args.out and not args.json:
         print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -248,15 +226,14 @@ def cmd_characterize(args) -> int:
     }
     if args.json:
         _emit_json(doc)
+        return EXIT_OK
+    print(f"d = {doc['dimension']} samples, spacing {_sig(doc['spacing_ns'])} ns")
+    print(f"rank: {_rank_words(doc['full_rank'])}")
+    for i in (0, 1):
+        print(f"diagonal efficiencies {i}: [" + ", ".join(_sig(x) for x in doc[f"diagonal{i}"]) + "]")
+    if args.out:
+        print(f"wrote detector spec to {args.out}")
     else:
-        print(f"d = {gate.d} samples, spacing {_sig(gate.spacing_s * 1e9)} ns")
-        rank_words = ["full" if ok else "singular" for ok in (pair.full_rank0, pair.full_rank1)]
-        print(f"rank: {rank_words[0]} / {rank_words[1]}")
-        print("diagonal efficiencies 0: [" + ", ".join(_sig(x) for x in pair.e0.diagonal) + "]")
-        print("diagonal efficiencies 1: [" + ", ".join(_sig(x) for x in pair.e1.diagonal) + "]")
-        if args.out:
-            print(f"wrote detector spec to {args.out}")
-    if not args.out and not args.json:
         print("note: pass --out PATH to write the detector spec JSON")
     return EXIT_OK
 

@@ -38,7 +38,7 @@ class Infeasible(QkdMismatchError):
 
 
 class DomainError(QkdMismatchError):
-    """Scalar argument outside its mathematical domain."""
+    """Argument outside its mathematical domain: a scalar, or a matrix entry too large to measure."""
 
 
 class InvalidGate(QkdMismatchError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotPSD, NumericalFailure
+from .errors import DimensionMismatch, DomainError, NotHermitian, NotPSD, NumericalFailure
 
 # Relative tolerances, sized for dense double-precision problems with d <~ 64.
 SYMMETRY_RTOL = 1e-10
@@ -44,14 +44,15 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def require_hermitian(a) -> np.ndarray:
-    """Return the symmetrized matrix, raising NotHermitian beyond tolerance
-    or for an entry past MAX_ENTRY_MODULUS, whose symmetry defect cannot be
-    measured. It is float64 when its imaginary parts symmetrize to zero."""
+    """Return the symmetrized matrix, raising NotHermitian beyond tolerance.
+    An entry past MAX_ENTRY_MODULUS raises DomainError first: no norm of the
+    matrix can be measured, so neither can its symmetry defect. The result
+    is float64 when its imaginary parts symmetrize to zero."""
     m = as_matrix(a)
     with np.errstate(over="ignore"):  # a complex modulus past the float range is inf
         peak = np.abs(m).max()
     if peak > MAX_ENTRY_MODULUS:
-        raise NotHermitian(f"entry of modulus {peak:.6g} exceeds {MAX_ENTRY_MODULUS:.0e}")
+        raise DomainError(f"entry of modulus {peak:.6g} exceeds {MAX_ENTRY_MODULUS:.0e}")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"square matrix required, got shape {m.shape}")
     tol = SYMMETRY_RTOL * max(1.0, frobenius(m))

@@ -618,6 +618,16 @@ def test_argmin_by_slope_stops_at_multiplier_cap(sign):
         assert len(calls) <= 23  # doubling from 1 to the cap
 
 
+@pytest.mark.parametrize(
+    "centre, probes", [(1.0, [0.0, 1.0]), (2.0, [0.0, 1.0, 2.0]), (-4.0, [0.0, -1.0, -2.0, -4.0])]
+)
+def test_argmin_by_slope_ends_on_a_growth_probe_with_zero_slope(centre, probes):
+    # A growth probe that lands on the minimum is the search's one end point.
+    counted, calls = _counted(_parabola(1.0, centre))
+    assert _argmin_by_slope(counted) == (centre, 0.0, ((centre, 0.0, 0.0),))
+    assert calls == probes
+
+
 def test_argmin_by_slope_returns_the_flatter_end_of_a_rounding_tie():
     # Values flattened by rounding: once the tangents meet within rounding of
     # the common value, both ends lie on the floor, and the end with the

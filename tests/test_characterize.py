@@ -354,6 +354,31 @@ def test_csv_names_the_file_of_a_bad_table(tmp_path, body, message):
     assert str(excinfo.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "{path}: expected a two-column CSV with a header line"),
+        ("time_ns\n0.0\n", "{path}: expected a two-column CSV with a header line"),
+        ("time_ns,efficiency\n0.0,0.5\n1.0\n", "{path}:3: expected two columns"),
+    ],
+    ids=["empty", "one-column-header", "one-column-row"],
+)
+def test_csv_rejects_a_missing_column(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as excinfo:
+        read_response_csv(path)
+    assert str(excinfo.value) == message.format(path=path)
+
+
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "resp.csv"
+    path.write_text("time_ns,efficiency\n\n0.0,0.5\n\n\n1.0,0.25\n\n")
+    resp = read_response_csv(path)
+    np.testing.assert_array_equal(resp.times_s, [0.0, 1e-9])
+    np.testing.assert_array_equal(resp.values, [0.5, 0.25])
+
+
 def test_csv_names_the_line_of_a_cell_that_is_not_a_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("time_ns,efficiency\n0.0,0.5\n1.0,abc\n")

@@ -20,6 +20,7 @@ from qkd_mismatch import (
 )
 from qkd_mismatch import cli, detectors, filtering
 from qkd_mismatch.cli import MAX_SWEEP_STEPS, build_parser, main
+from qkd_mismatch.errors import NumericalFailure
 
 from conftest import DEMO_E0, DEMO_E1, assert_differs_only_in_float_spelling, count_eigensolves, near_singular_pair
 
@@ -65,6 +66,15 @@ def test_analyze_singular_exits_two(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "analyze", "--spec", str(path))
     assert code == 2
     assert "SingularDetector" in out
+
+
+def test_analyze_of_two_vanishing_responses_exits_two(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    write_spec_file(path, np.zeros((2, 2)), np.zeros((2, 2)))
+    code, out, err = run_cli(capsys, "analyze", "--spec", str(path))
+    assert (code, err) == (2, "") and out.endswith("zero-rate reason: SingularDetector\n")
+    code, out, _ = run_cli(capsys, "analyze", "--spec", str(path), "--json")
+    assert code == 2 and json.loads(out)["zero_reason"] == "SingularDetector"
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
@@ -278,6 +288,46 @@ def test_sweep_json_matches_csv(tmp_path, capsys, demo_spec):
             assert float(row[key]) == doc[key]
 
 
+def test_sweep_reports_a_failed_solve_in_its_row(capsys, monkeypatch, demo_spec):
+    original, calls = cli.maximize_phase_error, []
+
+    def failing_at_the_second_point(*args):
+        calls.append(args[2])
+        if len(calls) == 2:
+            raise NumericalFailure("stubbed failure")
+        return original(*args)
+
+    monkeypatch.setattr(cli, "maximize_phase_error", failing_at_the_second_point)
+    code, out, err = run_cli(capsys, "sweep", "--spec", demo_spec, "--steps", "3", "--json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [list(row) for row in rows] == [cli.SWEEP_COLUMNS] * 3
+    assert [row["status"] for row in rows] == ["ok", "NumericalFailure", "ok"]
+    for row in rows:
+        failed = row["status"] != "ok"
+        assert [row[k] is None for k in ("p_succ_opt", "e_p_opt", "rate_opt")] == [failed] * 3
+        assert all(type(row[k]) is float for k in ("p_succ_bound", "e_p_bound", "rate_bound", "rate_4phase"))
+    calls.clear()
+    code, out, err = run_cli(capsys, "sweep", "--spec", demo_spec, "--steps", "3")
+    assert (code, err) == (0, "")
+    failed = _parse_sweep(out)[1]
+    assert failed["status"] == "NumericalFailure"
+    assert failed["p_succ_opt"] == failed["e_p_opt"] == failed["rate_opt"] == ""
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+def test_sweep_out_file_holds_the_stdout_document(capsys, tmp_path, demo_spec, fmt):
+    args = ["sweep", "--spec", demo_spec, "--steps", "3", *fmt]
+    code, document, _ = run_cli(capsys, *args)
+    assert code == 0
+    path = tmp_path / "rows.out"
+    code, out, err = run_cli(capsys, *args, "--out", str(path))
+    assert code == 0 and err == ""
+    assert path.read_text(encoding="utf-8") == document
+    # Only the CSV form reports the file it wrote.
+    assert out == ("" if fmt else f"wrote 3 rows to {path}\n")
+
+
 def test_sweep_ignores_former_solver_flags(capsys, demo_spec):
     base = ["sweep", "--spec", demo_spec, "--e-max", "0.1", "--steps", "3", "--json"]
     solver_flags = ["--starts", "8", "--rank", "1", "--tol", "1e-5", "--seed", "1"]
@@ -346,7 +396,8 @@ def test_sweep_rejects_e_max_below_zero_or_nan(capsys, demo_spec, e_max):
 @pytest.mark.parametrize(
     "bandwidth, gate, flag",
     [("inf", "0:2", "--bandwidth-ghz"), ("nan", "0:2", "--bandwidth-ghz"),
-     ("4", "0:inf", "--gate-ns"), ("4", "-inf:2", "--gate-ns"), ("4", "0:nan", "--gate-ns")],
+     ("4", "0:inf", "--gate-ns"), ("4", "-inf:2", "--gate-ns"), ("4", "0:nan", "--gate-ns"),
+     ("4", "abc", "--gate-ns"), ("4", "0-2", "--gate-ns"), ("4", "0:2:4", "--gate-ns"), ("4", "0:x", "--gate-ns")],
 )
 def test_characterize_rejects_non_finite_flags(capsys, bandwidth, gate, flag):
     data = Path(__file__).resolve().parent.parent / "data"
@@ -377,6 +428,12 @@ def test_attack_names_the_bad_shift_token(capsys, demo_spec, shift):
     code, out, err = run_cli(capsys, "attack", "--spec", demo_spec, "--shift", f"1:0.5,{shift}")
     _assert_one_line_flag_error(code, out, err, "--shift")
     assert repr(shift) in err
+
+
+@pytest.mark.parametrize("shift", [",", " , ,", ""])
+def test_attack_rejects_a_shift_without_indices(capsys, demo_spec, shift):
+    code, out, err = run_cli(capsys, "attack", "--spec", demo_spec, "--shift", shift)
+    assert (code, out, err) == (1, "", "error: --shift needs at least one index\n")
 
 
 def test_characterize_flat_quarter_roundtrip(tmp_path, capsys):
@@ -522,7 +579,7 @@ def test_analyze_with_a_failed_cholesky_factor_ends_in_one_error_line(capsys, mo
     monkeypatch.setattr(np.linalg, "cholesky", faulty)
     code, out, err = run_cli(capsys, "analyze", "--spec", demo_spec)
     assert (code, out) == (1, "")
-    assert err.startswith("error: Cholesky factor") and err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("error: E0: Cholesky factor") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_attack_mixed_shift_parsing(tmp_path, capsys):

@@ -201,6 +201,12 @@ def test_deflate_rejects_differing_nullspaces():
         deflate_common_nullspace(load_pair(np.diag([0.5, 0.0]), np.diag([0.0, 0.5])))
 
 
+def test_deflate_rejects_two_vanishing_responses():
+    # The nullspaces match, but they are the whole space: no range is left to keep.
+    with pytest.raises(SingularDetector, match="^both responses vanish entirely$"):
+        deflate_common_nullspace(load_pair(np.zeros((3, 3)), np.zeros((3, 3))))
+
+
 def test_spec_file_roundtrip(tmp_path):
     path = tmp_path / "pair.json"
     write_spec_file(path, DEMO_E0, DEMO_E1, "early", "late")
@@ -634,12 +640,13 @@ def test_load_pair_rank_flag_at_cutoff(factor, full):
     ],
 )
 def test_load_pair_errors_match_validate_efficiency(bad):
+    # load_pair names the detector whose response failed.
     with pytest.raises(InvalidEfficiency) as expected:
         validate_efficiency(bad)
-    for args in ((bad, np.eye(2)), (np.eye(2), bad)):
+    for name, args in (("E0", (bad, np.eye(2))), ("E1", (np.eye(2), bad))):
         with pytest.raises(InvalidEfficiency) as got:
             load_pair(*args)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == f"{name}: {expected.value}"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 
 from qkd_mismatch import compute_filter, linalg, load_pair, mismatch_spectrum
 from qkd_mismatch.detectors import _nullspace_projector
-from qkd_mismatch.errors import DimensionMismatch, NotHermitian, NotPSD
+from qkd_mismatch.errors import DimensionMismatch, DomainError, NotHermitian, NotPSD
 from qkd_mismatch.linalg import HermitianEigenSystem, as_matrix, hermitian_eig, principal_sqrt, require_hermitian
 
 from conftest import DEMO_E0, random_efficiency
@@ -158,10 +158,11 @@ def test_matrix_validation():
     ],
 )
 def test_entries_past_the_bound_raise_not_hermitian_without_a_warning(bad):
+    # A DomainError, not NotHermitian: a Hermitian matrix past the bound (bad1) is no symmetry defect.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn in (require_hermitian, hermitian_eig, principal_sqrt):
-            with pytest.raises(NotHermitian, match=r"^entry of modulus .* exceeds 1e\+100$"):
+            with pytest.raises(DomainError, match=r"^entry of modulus .* exceeds 1e\+100$"):
                 fn(bad)
 
 

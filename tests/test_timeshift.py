@@ -199,6 +199,22 @@ def test_zero_probability_stratum_is_ignored():
     assert outcome.detected_fraction == pytest.approx(0.5, abs=0.02)
 
 
+def test_a_stratum_without_detections_falls_back_to_the_analytic_guess():
+    # Index 1 is all but blind: none of its ~500 signals is detected, so its
+    # empirical guess is the analytic 1/2 and it adds no variance.
+    eta0, eta1 = np.array([0.8, 1e-9]), np.array([0.2, 1e-9])
+    scenario = TimeShiftScenario(
+        pair=diag_pair(eta0, eta1), shift_indices=np.array([0, 1]), shift_probs=np.array([0.5, 0.5]),
+        n_signals=1000, seed=3,
+    )
+    detected, correct = _sample_counts(np.random.default_rng(3), 1000, scenario.shift_probs, eta0, eta1)
+    assert detected[0] > 0 and detected[1] == 0
+    q0 = correct[0] / detected[0]
+    outcome = simulate_time_shift(scenario)
+    assert outcome.eve_guess_prob_empirical == pytest.approx(0.5 * q0 + 0.5 * 0.5, rel=1e-15)
+    assert outcome.empirical_sigma == pytest.approx(np.sqrt(0.25 * q0 * (1.0 - q0) / detected[0]), rel=1e-15)
+
+
 def test_duplicate_shift_indices_are_separate_strata():
     pair = diag_pair([0.8, 0.5], [0.2, 0.5])
     outcome = simulate_time_shift(TimeShiftScenario(
