@@ -136,12 +136,9 @@ class ContinuousResponse:
     def __call__(self, t) -> np.ndarray:
         return np.interp(t, self.times_s, self.values)
 
-    def covers(self, start_s: float, end_s: float) -> bool:
-        return bool(self.times_s[0] <= start_s and self.times_s[-1] >= end_s)
-
 
 def _require_coverage(resp: ContinuousResponse, gate: FilteredGate) -> None:
-    if not resp.covers(gate.gate_start_s, gate.gate_end_s):
+    if not (resp.times_s[0] <= gate.gate_start_s and resp.times_s[-1] >= gate.gate_end_s):
         raise CoverageError(
             f"response covers [{resp.times_s[0]:.3e}, {resp.times_s[-1]:.3e}] s, "
             f"gate needs [{gate.gate_start_s:.3e}, {gate.gate_end_s:.3e}] s"

@@ -87,7 +87,7 @@ def cmd_analyze(args) -> int:
     pair, label0, label1 = _load_pair_from_spec(args.spec)
     analysis = analyze_pair(pair, Knowledge(args.knowledge))
     rate = analysis.noiseless
-    labels, full_rank = [label0, label1], [pair.full_rank0, pair.full_rank1]
+    labels, full_rank = [label0, label1], [pair.e0.full_rank, pair.e1.full_rank]
     if rate.zero_reason is not None:
         doc = {"dimension": pair.dim, "labels": labels, "full_rank": full_rank, "noiseless_rate": 0.0,
                "zero_reason": rate.zero_reason.value}
@@ -130,9 +130,8 @@ def cmd_analyze(args) -> int:
 # --- sweep --------------------------------------------------------------------
 
 
-def _sweep_rows(analysis: Analysis, args):
+def _sweep_rows(analysis: Analysis, filt, args):
     pair = analysis.pair
-    filt = None if args.bounds_only else compute_filter(analysis.spectrum, pair)
     p_lo, ratio_up = mismatch_ratio_bounds(analysis.spectrum)
     grid = np.linspace(0.0, args.e_max, args.steps)
     starts = {}  # each grid point's dual searches start where the previous point's ended
@@ -154,9 +153,10 @@ def _sweep_rows(analysis: Analysis, args):
         }
         if not args.bounds_only:
             try:
+                # Each certified bound enters the row as soon as its solve returns.
                 p_opt, _ = minimize_filter_success(pair, filt, e, e, starts)
-                ep_opt, _ = maximize_phase_error(pair, filt, e, e, starts)
                 row["p_succ_opt"] = p_opt
+                ep_opt, _ = maximize_phase_error(pair, filt, e, e, starts)
                 row["e_p_opt"] = ep_opt
                 # Both p_succ values are certified lower bounds and both e_p
                 # values certified upper bounds, so the tighter of each holds.
@@ -182,8 +182,10 @@ def cmd_sweep(args) -> int:
     if analysis.noiseless.zero_reason is not None:
         print(f"zero-rate reason: {analysis.noiseless.zero_reason.value}", file=sys.stderr)
         return EXIT_ZERO_RATE
-    rows = _sweep_rows(analysis, args)
+    filt = None if args.bounds_only else compute_filter(analysis.spectrum, analysis.pair)
+    # Opened before the grid is solved, so an unwritable path costs no solves.
     with open(args.out, "w", encoding="utf-8", newline="") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        rows = _sweep_rows(analysis, filt, args)
         if args.json:
             _emit_json(rows, out)
         else:
@@ -219,7 +221,7 @@ def cmd_characterize(args) -> int:
         "dimension": gate.d,
         "spacing_ns": gate.spacing_s * 1e9,
         "sample_times_ns": [t * 1e9 for t in gate.sample_times_s],
-        "full_rank": [pair.full_rank0, pair.full_rank1],
+        "full_rank": [pair.e0.full_rank, pair.e1.full_rank],
         "diagonal0": [float(x) for x in pair.e0.diagonal],
         "diagonal1": [float(x) for x in pair.e1.diagonal],
         "out": args.out,
@@ -251,17 +253,17 @@ def _parse_shift(text: str) -> tuple[np.ndarray, np.ndarray]:
         idx_s, sep, p_s = token.partition(":")
         try:
             indices.append(int(idx_s))
-            probs.append(float(p_s) if sep else -1.0)
+            if sep:
+                probs.append(float(p_s))
         except ValueError:
             raise QkdMismatchError(f"--shift entries must be 'j' or 'j:p', got {token!r}") from None
     if not indices:
         raise QkdMismatchError("--shift needs at least one index")
-    p = np.asarray(probs)
-    if np.all(p < 0):
-        p = np.full(len(indices), 1.0 / len(indices))
-    elif np.any(p < 0):
+    if not probs:
+        probs = [1.0 / len(indices)] * len(indices)
+    elif len(probs) != len(indices):
         raise QkdMismatchError("--shift must give probabilities for all indices or none")
-    return np.asarray(indices, dtype=int), p
+    return np.asarray(indices, dtype=int), np.asarray(probs)
 
 
 def cmd_attack(args) -> int:

@@ -11,7 +11,6 @@ E_i = L_i L_i^dag they are the squared singular values of L1^-1 L0.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -50,17 +49,6 @@ class EfficiencyResponse:
     @property
     def full_rank(self) -> bool:
         return self.factor is not None
-
-    @functools.cached_property
-    def scale(self) -> float:
-        """max(1, ||E||_F), the scale of the relative tolerances on E."""
-        return max(1.0, linalg.frobenius(self.matrix))
-
-    @functools.cached_property
-    def eig(self) -> linalg.HermitianEigenSystem:
-        """The eigensystem of E, formed on first use: only deflating a
-        singular pair needs eigenvectors."""
-        return linalg.hermitian_eig(self.matrix)
 
 
 def validate_efficiency(raw) -> EfficiencyResponse:
@@ -111,14 +99,6 @@ class DetectorPair:
         return self.e0.dim
 
     @property
-    def full_rank0(self) -> bool:
-        return self.e0.full_rank
-
-    @property
-    def full_rank1(self) -> bool:
-        return self.e1.full_rank
-
-    @property
     def full_rank(self) -> bool:
         return self.e0.full_rank and self.e1.full_rank
 
@@ -129,23 +109,13 @@ class MismatchSpectrum:
 
     `ratios` holds D_1 >= ... >= D_d > 0, the mode-wise efficiency ratios,
     which are all a key rate reads. `factor` is K = (L1^-1 L0)^dag, with
-    K K^dag = L0^dag E1^-1 L0 similar to E1^-1 E0, and `svd` its full SVD,
-    formed on first use for the one step that needs the basis U of
-    L0^dag E1^-1 L0 = U diag(D) U^dag: the virtual filter.
+    K K^dag = L0^dag E1^-1 L0 similar to E1^-1 E0. The one step that needs
+    the basis U of L0^dag E1^-1 L0 = U diag(D) U^dag, the virtual filter
+    (`filtering.compute_filter`), takes the full SVD of K itself.
     """
 
     ratios: np.ndarray
     factor: np.ndarray
-
-    @functools.cached_property
-    def svd(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U, sigma) of one SVD U diag(sigma) W^dag of K. This sigma^2 may
-        differ from `ratios` by rounding; the filter takes U and sigma^2 both
-        from here, so it is built from one consistent decomposition."""
-        basis, sigma, _ = np.linalg.svd(self.factor)
-        basis.setflags(write=False)
-        sigma.setflags(write=False)
-        return basis, sigma
 
 
 def load_pair(e0_raw, e1_raw) -> DetectorPair:
@@ -174,7 +144,7 @@ def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
 
     K = (L1^-1 L0)^dag, from the Cholesky factors E_i = L_i L_i^dag, has
     K K^dag = L0^dag E1^-1 L0, so its singular values sigma give D = sigma^2.
-    Only they are computed here; the basis U waits for `MismatchSpectrum.svd`.
+    Only they are computed here; `filtering.compute_filter` forms the basis U.
     The rank cutoff keeps sigma far above the SVD's rounding.
     """
     if not pair.full_rank:
@@ -189,10 +159,12 @@ def mismatch_spectrum(pair: DetectorPair) -> MismatchSpectrum:
 
 def _nullspace_projector(e: EfficiencyResponse) -> tuple[np.ndarray, np.ndarray]:
     """Return (null projector, range basis columns) of `e` at the rank cutoff
-    that `validate_efficiency` flagged its rank with."""
-    keep = e.eigenvalues > RANK_RTOL * e.scale
-    v_range = e.eig.eigenvectors[:, keep]
-    v_null = e.eig.eigenvectors[:, ~keep]
+    that `validate_efficiency` flagged its rank with. Only deflating a
+    singular pair forms eigenvectors."""
+    keep = e.eigenvalues > RANK_RTOL * max(1.0, linalg.frobenius(e.matrix))
+    vectors = linalg.hermitian_eig(e.matrix).eigenvectors
+    v_range = vectors[:, keep]
+    v_null = vectors[:, ~keep]
     return v_null @ v_null.conj().T, v_range
 
 
@@ -205,7 +177,7 @@ def deflate_common_nullspace(pair: DetectorPair) -> DetectorPair:
     """
     if pair.full_rank:
         return pair
-    if pair.full_rank0 != pair.full_rank1:
+    if pair.e0.full_rank != pair.e1.full_rank:
         raise SingularDetector("nullspaces differ: only one detector is singular")
     p0, v_range = _nullspace_projector(pair.e0)
     p1, _ = _nullspace_projector(pair.e1)

@@ -72,12 +72,12 @@ class NoiselessRate:
 
 def compute_filter(spectrum: MismatchSpectrum, pair: DetectorPair) -> VirtualFilterC:
     """Build the optimal contraction C for a full-rank pair from E0's Cholesky
-    factor L0, taking U and D both from the one full SVD `spectrum.svd`.
-    The validity blocks use explicit inverses of E0 and E1, so the
-    certificate does not rest on the factor."""
+    factor L0, taking U and D = sigma^2 both from one full SVD of `spectrum.factor`
+    (this D may differ from `spectrum.ratios` by rounding). The validity blocks
+    use explicit inverses of E0 and E1, so the certificate does not rest on the factor."""
     if not pair.full_rank:
         raise SingularDetector("virtual filter needs full-rank responses")
-    basis, sigma = spectrum.svd
+    basis, sigma, _ = np.linalg.svd(spectrum.factor)
     d = sigma * sigma
     scale = np.sqrt(np.minimum(1.0 / d, 1.0))
     c = (scale[:, np.newaxis] * basis.conj().T) @ pair.e0.factor.conj().T

@@ -100,30 +100,27 @@ def simulate_time_shift(scenario: TimeShiftScenario) -> AttackOutcome:
     if np.any(totals[support] <= 0.0):
         raise DegenerateScenario("both detectors are blind at a selected shift index")
 
-    cond_correct = np.where(totals > 0, np.maximum(eta0[idx], eta1[idx]) / np.where(totals > 0, totals, 1.0), 0.0)
+    # Both efficiencies vanish only off the support, where the guess is 0.
+    cond_correct = np.maximum(eta0[idx], eta1[idx]) / np.where(totals > 0, totals, 1.0)
     guess_prob = float(np.sum(probs * cond_correct))
 
     n = scenario.n_signals
     detected, correct = _sample_counts(np.random.default_rng(scenario.seed), n, probs, eta0[idx], eta1[idx])
 
-    empirical = 0.0
-    variance = 0.0
-    for k in range(idx.size):
-        if not support[k]:
-            continue
-        det_k = int(detected[k])
-        if det_k == 0:
-            q_hat = float(cond_correct[k])
-        else:
-            q_hat = int(correct[k]) / det_k
-            variance += probs[k] ** 2 * q_hat * (1.0 - q_hat) / det_k
-        empirical += probs[k] * q_hat
+    seen = detected > 0
+    counts = np.maximum(detected, 1)
+    # Dividing Python ints rounds the exact quotient once; int64 counts past
+    # 2**53 would first round to doubles.
+    q_hat = np.where(seen, (correct.astype(object) / counts).astype(float), cond_correct)
+    # float_power squares by libm's pow, as `**` on a float scalar does;
+    # `probs**2` multiplies, which can differ from it in the last bit.
+    variance = np.sum(np.where(seen, np.float_power(probs, 2) * q_hat * (1.0 - q_hat) / counts, 0.0))
 
     aware = special_case_rate(pair, Knowledge.FULL_MATRICES).rate
     return AttackOutcome(
         detected_fraction=int(detected.sum()) / n,
         eve_guess_prob=guess_prob,
-        eve_guess_prob_empirical=float(empirical),
+        eve_guess_prob_empirical=float(np.sum(probs * q_hat)),
         empirical_sigma=float(np.sqrt(variance)),
         naive_rate=1.0,
         aware_rate=aware,

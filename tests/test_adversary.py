@@ -785,3 +785,20 @@ def test_mediant_rejects_nonpositive():
 )
 def test_mediant_always_holds(a1, a2, b1, b2):
     assert mediant_check(a1, a2, b1, b2)
+
+
+@pytest.mark.parametrize("vectors", [np.ones(8), np.ones((0, 8)), np.ones((1, 2, 8))], ids=["1-D", "rank-0", "3-D"])
+def test_eve_state_rejects_a_wrong_shape(vectors):
+    with pytest.raises(DimensionMismatch, match=r"shape \(rank, 4d\)"):
+        EveState(vectors=vectors)
+
+
+def test_eve_state_rejects_all_zero_vectors():
+    with pytest.raises(ValueError, match="at least one nonzero vector"):
+        EveState(vectors=np.zeros((2, 8)))
+
+
+def test_statistics_need_a_full_rank_pair(demo_filter):
+    singular = load_pair(np.diag([0.5, 0.0]), np.diag([0.5, 0.5]))
+    with pytest.raises(SingularDetector, match="full-rank"):
+        evaluate_statistics(EveState.from_vector(np.ones(8)), singular, demo_filter)

@@ -385,3 +385,13 @@ def test_csv_names_the_line_of_a_cell_that_is_not_a_number(tmp_path):
     with pytest.raises(ValueError, match="'abc'") as excinfo:
         read_response_csv(path)
     assert str(excinfo.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [([0.0, 1.0, 2.0], [0.2, 0.2]), ([0.0], [0.2]), ([[0.0, 1.0]], [[0.2, 0.2]])],
+    ids=["unequal-lengths", "one-point", "2-D"],
+)
+def test_response_needs_matching_one_dimensional_arrays(times, values):
+    with pytest.raises(ValueError, match="matching 1-D arrays with >= 2 points"):
+        ContinuousResponse(times_s=np.array(times), values=np.array(values))

@@ -297,6 +297,9 @@ def test_sweep_reports_a_failed_solve_in_its_row(capsys, monkeypatch, demo_spec)
             raise NumericalFailure("stubbed failure")
         return original(*args)
 
+    code, out, _ = run_cli(capsys, "sweep", "--spec", demo_spec, "--steps", "3", "--json")
+    assert code == 0
+    unstubbed = json.loads(out)
     monkeypatch.setattr(cli, "maximize_phase_error", failing_at_the_second_point)
     code, out, err = run_cli(capsys, "sweep", "--spec", demo_spec, "--steps", "3", "--json")
     assert (code, err) == (0, "")
@@ -305,14 +308,41 @@ def test_sweep_reports_a_failed_solve_in_its_row(capsys, monkeypatch, demo_spec)
     assert [row["status"] for row in rows] == ["ok", "NumericalFailure", "ok"]
     for row in rows:
         failed = row["status"] != "ok"
-        assert [row[k] is None for k in ("p_succ_opt", "e_p_opt", "rate_opt")] == [failed] * 3
+        # The p_succ bound certified before the e_p solve failed stays in its row.
+        assert type(row["p_succ_opt"]) is float
+        assert [row[k] is None for k in ("e_p_opt", "rate_opt")] == [failed] * 2
         assert all(type(row[k]) is float for k in ("p_succ_bound", "e_p_bound", "rate_bound", "rate_4phase"))
+    assert rows[1]["p_succ_opt"] == unstubbed[1]["p_succ_opt"]
     calls.clear()
     code, out, err = run_cli(capsys, "sweep", "--spec", demo_spec, "--steps", "3")
     assert (code, err) == (0, "")
     failed = _parse_sweep(out)[1]
     assert failed["status"] == "NumericalFailure"
-    assert failed["p_succ_opt"] == failed["e_p_opt"] == failed["rate_opt"] == ""
+    assert float(failed["p_succ_opt"]) == unstubbed[1]["p_succ_opt"]
+    assert failed["e_p_opt"] == failed["rate_opt"] == ""
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
+def test_sweep_out_to_an_unwritable_path_fails_before_any_solve(capsys, monkeypatch, tmp_path, demo_spec, fmt):
+    solves = []
+    original = cli.minimize_filter_success
+
+    def spying(*args):
+        solves.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(cli, "minimize_filter_success", spying)
+    rows = tmp_path / "missing" / "rows.out"
+    code, out, err = run_cli(capsys, "sweep", "--spec", demo_spec, "--steps", "3", "--out", str(rows), *fmt)
+    assert (code, out) == (1, "") and solves == []
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(rows) in err
+    # A pair whose filter certificate fails writes no file either.
+    near = tmp_path / "near_singular.json"
+    write_spec_file(near, *near_singular_pair(0, 16, 1e-8))
+    rows = tmp_path / "rows.out"
+    code, out, err = run_cli(capsys, "sweep", "--spec", str(near), "--steps", "3", "--out", str(rows), *fmt)
+    assert (code, out) == (1, "") and "too close to singular" in err
+    assert solves == [] and not rows.exists()
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["csv", "json"])
@@ -434,6 +464,12 @@ def test_attack_names_the_bad_shift_token(capsys, demo_spec, shift):
 def test_attack_rejects_a_shift_without_indices(capsys, demo_spec, shift):
     code, out, err = run_cli(capsys, "attack", "--spec", demo_spec, "--shift", shift)
     assert (code, out, err) == (1, "", "error: --shift needs at least one index\n")
+
+
+@pytest.mark.parametrize("shift", ["0:-1", "0:-1,1:-3", "0:-0.5,1:1.5"])
+def test_attack_rejects_negative_shift_probabilities(capsys, demo_spec, shift):
+    code, out, err = run_cli(capsys, "attack", "--spec", demo_spec, "--shift", shift)
+    assert (code, out, err) == (1, "", "error: shift probabilities must be nonnegative and sum to 1\n")
 
 
 def test_characterize_flat_quarter_roundtrip(tmp_path, capsys):
@@ -721,3 +757,10 @@ def test_help_matches_a_fresh_parser(capsys, argv):
     assert "usage: qkd-mismatch" in expected
     assert _help(capsys, main, argv) == expected
     assert _help(capsys, main, argv) == expected
+
+
+def test_characterize_without_out_says_how_to_write_the_spec(capsys):
+    code, out, err = run_cli(capsys, "characterize", str(DATA / "response_det0.csv"), str(DATA / "response_det1.csv"),
+                             "--bandwidth-ghz", "1", "--gate-ns", "0:2")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nnote: pass --out PATH to write the detector spec JSON\n")

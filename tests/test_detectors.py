@@ -42,7 +42,7 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 
 def test_load_pair_uniform_quarter():
     pair = load_pair(0.25 * np.eye(2), 0.25 * np.eye(2))
-    assert pair.full_rank0 and pair.full_rank1
+    assert pair.e0.full_rank and pair.e1.full_rank
     for e in (pair.e0, pair.e1):
         np.testing.assert_allclose(e.factor @ e.factor.conj().T, 0.25 * np.eye(2), atol=1e-12)
 
@@ -65,7 +65,7 @@ def test_load_pair_rejects_bad_inputs():
 def test_demo_spectrum_matches_reported_ratios(demo_spectrum):
     np.testing.assert_allclose(demo_spectrum.ratios, [3.03, 0.356], atol=0.01)
     # the filter's decomposition U diag(sigma^2) U^dag reconstructs L0^dag E1^-1 L0
-    u, sigma = demo_spectrum.svd
+    u, sigma = np.linalg.svd(demo_spectrum.factor)[:2]
     np.testing.assert_allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(sigma * sigma, demo_spectrum.ratios, rtol=1e-14, atol=0)
     l0 = np.linalg.cholesky(DEMO_E0)
@@ -574,7 +574,7 @@ def test_real_pair_stays_real_and_matches_its_complex_image():
             pair = load_pair(*inputs)
             spectrum = mismatch_spectrum(pair)
             filt = compute_filter(spectrum, pair)
-            for a in (pair.e0.matrix, pair.e1.matrix, pair.e0.factor, pair.e1.factor, spectrum.svd[0], filt.gram):
+            for a in (pair.e0.matrix, pair.e1.matrix, pair.e0.factor, pair.e1.factor, spectrum.factor, filt.gram):
                 assert a.dtype == dtype
             results.append((spectrum.ratios, filt.validity_margin))
         for ratios, margin in results[1:]:
@@ -595,7 +595,7 @@ def test_load_pair_matches_separate_validation_root_and_rank():
             u = random_unitary(rng, d)
             raws[int(rng.integers(2))] = (u * np.r_[rng.uniform(0.1, 0.9, d - 1), 0.0]) @ u.conj().T
         pair = load_pair(*raws)
-        for raw, e, full in ((raws[0], pair.e0, pair.full_rank0), (raws[1], pair.e1, pair.full_rank1)):
+        for raw, e, full in ((raws[0], pair.e0, pair.e0.full_rank), (raws[1], pair.e1, pair.e1.full_rank)):
             np.testing.assert_array_equal(e.matrix, validate_efficiency(raw).matrix)
             assert principal_sqrt(e.matrix).tobytes() == principal_sqrt(raw).tobytes()
             assert e.full_rank is full
@@ -627,7 +627,7 @@ def test_load_pair_rank_flag_at_cutoff(factor, full):
     u = random_unitary(rng, 3)
     e = (u * np.array([0.5, 0.3, factor * RANK_RTOL])) @ u.conj().T  # ||e||_F < 1: cutoff RANK_RTOL
     pair = load_pair(e, 0.5 * np.eye(3))
-    assert pair.full_rank0 is full
+    assert pair.e0.full_rank is full
     assert _eigvalsh_full_rank(pair.e0.matrix) is full
 
 
@@ -675,3 +675,21 @@ def test_entries_below_the_bound_keep_the_spectrum_message():
     assert MAX_ENTRY_MODULUS >= 2.0
     with pytest.raises(InvalidEfficiency, match=r"eigenvalues \[-1e\+99, 1e\+99\] outside \[0, 1\]"):
         validate_efficiency([[0.5, 1e99], [1e99, 0.5]])
+
+
+@pytest.mark.parametrize("missing", ["E0", "E1"])
+def test_spec_file_missing_a_matrix_names_the_key(tmp_path, missing):
+    doc = json.loads(_ONE_DIM_SPEC.format("1", "0.5"))
+    del doc[missing]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"detector spec missing key: '{missing}'")):
+        read_spec_file(path)
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((2, 3), (2, 3))], ids=["unequal", "not-square"])
+def test_spec_writer_rejects_matrices_of_unequal_or_non_square_shape(tmp_path, shapes):
+    path = tmp_path / "spec.json"
+    with pytest.raises(DimensionMismatch, match="two square matrices of equal size"):
+        write_spec_file(path, *(0.5 * np.ones(shape) for shape in shapes))
+    assert not path.exists()

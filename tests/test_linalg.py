@@ -171,3 +171,9 @@ def test_entries_at_the_bound_are_checked_as_before():
     np.testing.assert_array_equal(require_hermitian([[bound, 0.5], [0.5, -bound]]), [[bound, 0.5], [0.5, -bound]])
     with pytest.raises(NotHermitian, match="symmetry defect"):
         require_hermitian([[0.3, bound], [-bound, 0.3]])
+
+
+@pytest.mark.parametrize("a", [[0.5, 0.5], np.zeros((0, 2)), np.zeros((1, 1, 1))], ids=["1-D", "no-rows", "3-D"])
+def test_as_matrix_rejects_what_is_not_a_matrix(a):
+    with pytest.raises(DimensionMismatch, match="expected a 2-D matrix"):
+        as_matrix(a)

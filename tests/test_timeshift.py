@@ -249,3 +249,61 @@ def test_probabilities_are_normalised_and_n_fits_int64():
         TimeShiftScenario.pure(pair, 0, n_signals=2**63)
     outcome = simulate_time_shift(TimeShiftScenario.pure(pair, 0, n_signals=2**63 - 1, seed=1))
     assert outcome.detected_fraction == pytest.approx(0.5, abs=1e-6)
+
+
+def loop_estimate(scenario):
+    """Reference: the per-stratum loop that the array expressions replaced.
+
+    Returns (empirical guess probability, its sigma), summed left to right
+    over the strata with nonzero probability.
+    """
+    eta0 = np.clip(scenario.pair.e0.diagonal, 0.0, 1.0)[scenario.shift_indices]
+    eta1 = np.clip(scenario.pair.e1.diagonal, 0.0, 1.0)[scenario.shift_indices]
+    probs = scenario.shift_probs
+    detected, correct = _sample_counts(np.random.default_rng(scenario.seed), scenario.n_signals, probs, eta0, eta1)
+    empirical = variance = 0.0
+    for k in range(probs.size):
+        if probs[k] == 0.0:
+            continue
+        det_k = int(detected[k])
+        if det_k == 0:
+            q_hat = float(max(eta0[k], eta1[k]) / (eta0[k] + eta1[k]))
+        else:
+            q_hat = int(correct[k]) / det_k
+            variance += probs[k] ** 2 * q_hat * (1.0 - q_hat) / det_k
+        empirical += probs[k] * q_hat
+    return empirical, float(np.sqrt(variance))
+
+
+def test_empirical_estimate_matches_the_per_stratum_loop():
+    # Below 8 strata np.sum adds left to right, so the arithmetic is the
+    # loop's to the bit, counts past 2**53 included. From 8 on, np.sum adds
+    # pairwise, which may move the last bits.
+    rng = np.random.default_rng(29)
+    ulps = 4.0 * np.finfo(float).eps
+    for _ in range(300):
+        d = int(rng.integers(2, 8))
+        eta0, eta1 = rng.uniform(0.0, 1.0, d), rng.uniform(0.0, 1.0, d)
+        eta0[0] = eta1[0] = 0.0  # blind at index 0, which only zero-probability strata select
+        k = int(rng.integers(1, 13))
+        idx = rng.integers(0, d, k)
+        probs = rng.dirichlet(np.ones(k)) * (idx > 0)
+        if probs.sum() == 0.0:
+            continue
+        n = int(rng.choice([1, 10, 1000, 10**6, 2**53, 2**63 - 1]))
+        scenario = TimeShiftScenario(pair=diag_pair(eta0, eta1), shift_indices=idx, shift_probs=probs / probs.sum(),
+                                     n_signals=n, seed=int(rng.integers(2**32)))
+        outcome = simulate_time_shift(scenario)
+        empirical, sigma = loop_estimate(scenario)
+        if k < 8:
+            assert (outcome.eve_guess_prob_empirical, outcome.empirical_sigma) == (empirical, sigma)
+        else:
+            assert outcome.eve_guess_prob_empirical == pytest.approx(empirical, rel=ulps, abs=0.0)
+            assert outcome.empirical_sigma == pytest.approx(sigma, rel=ulps, abs=0.0)
+
+
+def test_scenario_needs_matching_nonempty_arrays():
+    pair = diag_pair([0.8, 0.5], [0.2, 0.5])
+    for indices, probs in (([], []), ([0, 1], [1.0]), ([0], [0.5, 0.5])):
+        with pytest.raises(DomainError, match="must match and be nonempty"):
+            TimeShiftScenario(pair=pair, shift_indices=np.array(indices, dtype=int), shift_probs=np.array(probs))
