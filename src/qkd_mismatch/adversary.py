@@ -43,6 +43,19 @@ eigenpair, the closed-form noiseless p_succ = lambda_min(2G, E0 + E1) and
 e_p = 0. The witness state is the search's own, mixed from the states at the
 ends of its final brackets.
 
+Every observed target is feasible. With e1..e4 the unit vectors of the 4x4
+factor and w = ((1-e_b)(1-e_p'), e_b (1-e_p'), e_b e_p', (1-e_b) e_p'), the
+state with rows sqrt(w_k) e_k x v (rows with w_k > 0), for any v in C^d,
+meets (e_b, e_p') exactly on every full-rank pair: the four states e_k x v
+share the Z and X denominators (v^dag E0 v + v^dag E1 v) / 2 and sit at
+(e_b, e_p') = (0, 0), (1, 0), (1, 1), (0, 1). Its e_p is e_p' and its p_succ
+is 2 v^dag G v / v^dag (E0 + E1) v. Mixed over an orthonormal basis of v it
+is diag(w) x I, positive definite on the face, so the Charnes-Cooper program
+is strictly feasible: by Slater's condition there is no duality gap, and the
+dual optimum sits at finite multipliers. Hence at every target p_succ_opt <=
+lambda_min(2G, E0 + E1), the noiseless value, and e_p_opt >= e_p'; a min
+p_succ above 1 or a max e_p below 0 can only be a rounding or search failure.
+
 Dropping the constraints leaves one generalized eigenvalue per bound, which
 reproduces the analytic min_i min(D_i, 1/D_i) and max_i max(D_i, 1/D_i) of
 the mismatch ratios (`filtering.mismatch_ratio_bounds`).
@@ -63,7 +76,6 @@ from .detectors import DetectorPair
 from .errors import (
     DimensionMismatch,
     DomainError,
-    Infeasible,
     NumericalFailure,
     SingularDetector,
     ZeroDenominator,
@@ -71,9 +83,10 @@ from .errors import (
 from .filtering import VALIDITY_TOL, VirtualFilterC
 
 DENOMINATOR_FLOOR = 1e-14
-# Dual multipliers are searched in [-MULTIPLIER_CAP, MULTIPLIER_CAP]. A capped
-# multiplier still gives a valid bound, possibly a loose one; a dual that keeps
-# improving up to the cap is how infeasible targets show.
+# Dual multipliers are searched in [-MULTIPLIER_CAP, MULTIPLIER_CAP]. Every
+# target is strictly feasible (module docstring), so the dual optimum sits at
+# finite multipliers and the cap only ends the search; a capped multiplier
+# still gives a valid bound, possibly a loose one.
 MULTIPLIER_CAP = 1e6
 
 
@@ -471,12 +484,14 @@ def _solve_constrained(
         starts[key] = (y, None if last is None else [max(abs(a - b), 1e-12) for a, b in zip(y, last)])
     value = sign * top
 
-    # Every state has p_succ <= 1 (I4 x G <= Zden) and e_p >= 0, so a dual
-    # value beyond either certifies that no state meets the targets; within
-    # rounding, and on the other side, clipping into [0, 1] keeps it a bound.
-    infeasible = value > 1.0 + VALIDITY_TOL if kind == "min_psucc" else value < -VALIDITY_TOL
-    if infeasible:
-        raise Infeasible(f"dual value {value:.6g} certifies that no attack state meets the observed rates")
+    # Every target is met by a state (module docstring), and every state has
+    # p_succ <= 1 (I4 x G <= Zden) and e_p >= 0, so by weak duality a value
+    # beyond either is a rounding or search failure. Within rounding, and on
+    # the safe side (min p_succ below 0, max e_p above 1), clipping into
+    # [0, 1] keeps it a bound.
+    if (value > 1.0 + VALIDITY_TOL) if kind == "min_psucc" else (value < -VALIDITY_TOL):
+        raise NumericalFailure(f"dual value {value:.6g} is outside [0, 1], yet every observed target is "
+                               "feasible: the search or its rounding failed")
     local = _end_state([(*p[:3], _end_state(p[3])) for p in ends]) @ white.conj()
     vectors = np.zeros((local.shape[0], 4, pair.dim), dtype=complex)
     vectors[:, face] = local.reshape(-1, len(face), pair.dim)

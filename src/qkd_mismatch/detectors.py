@@ -306,11 +306,27 @@ def _read_spec(path) -> DetectorSpecFile:
     )
 
 
+def _utf8_text(label) -> bool:
+    """Whether `label` is a str with a UTF-8 form. A lone surrogate (how argv
+    decodes a byte that is not UTF-8) has none, and its JSON escape does not parse."""
+    if not isinstance(label, str):
+        return False
+    try:
+        label.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def write_spec_file(path, e0, e1, label0: str = "detector0", label1: str = "detector1") -> None:
     # Validated but written as given, since `as_matrix` would drop -0.0 imaginary parts.
     m0, m1 = np.asarray(e0), np.asarray(e1)
     if linalg.as_matrix(m0).shape != linalg.as_matrix(m1).shape or m0.shape[0] != m0.shape[1]:
         raise DimensionMismatch("detector spec needs two square matrices of equal size")
+    # Checked before the file opens, so a label `read_spec_file` would reject leaves no file.
+    for key, label in (("label0", label0), ("label1", label1)):
+        if not _utf8_text(label):
+            raise ValueError(f"detector spec {key} must be a string that encodes to UTF-8, got {label!r}")
     data = (
         b'{\n  "dimension": %d,\n'
         b'  "E0": [\n    %s\n  ],\n'

@@ -18,7 +18,13 @@ class NotPSD(QkdMismatchError):
 
 
 class NumericalFailure(QkdMismatchError):
-    """An iterative numerical routine did not converge."""
+    """A numerical routine failed or lost its accuracy: an eigendecomposition
+    did not converge or does not reconstruct its matrix, LAPACK returned a
+    nonzero `info`, a Cholesky factorization failed or does not reconstruct
+    its matrix, the filter's validity certificate failed (a pair too close to
+    singular), a rate fell outside [0, 1] beyond rounding, or a dual bound
+    fell outside [0, 1] on the side that feasibility rules out (every
+    observed target is feasible, see `adversary`)."""
 
 
 class InvalidEfficiency(QkdMismatchError):
@@ -31,10 +37,6 @@ class SingularDetector(QkdMismatchError):
 
 class ZeroDenominator(QkdMismatchError):
     """Adversary state produces no conclusive events in the relevant basis."""
-
-
-class Infeasible(QkdMismatchError):
-    """No adversary state meets the observed-rate constraints."""
 
 
 class DomainError(QkdMismatchError):

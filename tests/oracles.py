@@ -11,7 +11,10 @@ a closed form of the package by an independent route:
   constraints as generalized eigenvalue problems, to cross-validate
   `mismatch_ratio_bounds`;
 * `mediant_check` evaluates the mediant implication in exact rational
-  arithmetic.
+  arithmetic;
+* `feasible_state` builds the explicit attack state that meets any observed
+  (e_b, e_p') (the feasibility fact in `qkd_mismatch.adversary`), against
+  which every optimized bound is checked by weak duality.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from qkd_mismatch import DetectorPair, VirtualFilterC
+from qkd_mismatch import DetectorPair, EveState, VirtualFilterC
 from qkd_mismatch.adversary import _build_operators
 from qkd_mismatch.errors import DomainError, SingularDetector
 
@@ -147,3 +150,20 @@ def mediant_check(a1, a2, b1, b2) -> bool:
     premise = fa1 * fb2 >= fb1 * fa2
     conclusion = fa1 * (fa2 + fb2) >= (fa1 + fb1) * fa2
     return (not premise) or conclusion
+
+
+def feasible_state(v, observed_eb: float, observed_epp: float) -> EveState:
+    """The state with rows sqrt(w_k) e_k x v, one for each w_k > 0, where
+    w = ((1-e_b)(1-e_p'), e_b (1-e_p'), e_b e_p', (1-e_b) e_p') and e_k are
+    the unit vectors of the 4x4 factor.
+
+    On every full-rank pair it meets (e_b, e_p') exactly, with e_p = e_p' and
+    p_succ = 2 v^dag G v / v^dag (E0 + E1) v: the four states e_k x v share
+    their Z and X denominators and sit at the corners (0, 0), (1, 0), (1, 1)
+    and (0, 1) of the (e_b, e_p') square.
+    """
+    eb, epp = observed_eb, observed_epp
+    weights = ((1 - eb) * (1 - epp), eb * (1 - epp), eb * epp, (1 - eb) * epp)
+    v = np.asarray(v, dtype=complex)
+    return EveState(vectors=np.array([np.kron(np.eye(4)[k], math.sqrt(w) * v)
+                                      for k, w in enumerate(weights) if w > 0.0]))

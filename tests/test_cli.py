@@ -727,6 +727,15 @@ def test_json_output_keeps_a_non_ascii_label(tmp_path, capsys):
     assert json.loads(out)["labels"] == [label, "detector1"]
 
 
+def test_characterize_rejects_a_label_that_is_not_utf8_and_writes_no_file(tmp_path, capsys):
+    # "det\udcff" is what argv gives for the bytes b"det\xff".
+    path = tmp_path / "spec.json"
+    code, out, err = run_cli(capsys, *CHARACTERIZE_D17, "--out", str(path), "--label0", "det\udcff")
+    assert (code, out) == (1, "")
+    assert err == "error: detector spec label0 must be a string that encodes to UTF-8, got 'det\\udcff'\n"
+    assert not path.exists()
+
+
 def test_attack_json_prints_a_seed_beyond_64_bits(capsys):
     seed = str(2**70 + 1)
     code, out, _ = run_cli(capsys, "attack", "--spec", str(DATA / "demo_detectors.json"), "--n", "1000",

@@ -345,6 +345,22 @@ def test_spec_labels_must_be_strings(tmp_path, label, shown):
         read_spec_file(path)
 
 
+@pytest.mark.parametrize("key", ["label0", "label1"])
+@pytest.mark.parametrize("label", [5, None, "det\udcff", "a\ud800"])
+def test_spec_writer_rejects_a_label_the_reader_cannot_read(tmp_path, key, label):
+    # A lone surrogate is how argv decodes a byte that is not UTF-8.
+    path = tmp_path / "pair.json"
+    with pytest.raises(ValueError, match=f"^detector spec {key} must be a string that encodes to UTF-8, got "):
+        write_spec_file(path, DEMO_E0, DEMO_E1, **{key: label})
+    assert not path.exists()
+
+
+def test_spec_file_roundtrip_of_a_non_ascii_label(tmp_path):
+    path = tmp_path / "pair.json"
+    write_spec_file(path, DEMO_E0, DEMO_E1, "d\u00e9tecteur")
+    assert read_spec_file(path).label0 == "d\u00e9tecteur"
+
+
 def _agreement_values():
     """Float64 values at the edges of the format, random bit patterns and
     random magnitudes."""
